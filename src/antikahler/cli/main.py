@@ -102,6 +102,9 @@ def main(argv: Optional[list] = None) -> int:
     except OSError as exc:
         _emit_error(args, "IOError", 0, str(exc))
         return 2
+    except UnicodeDecodeError as exc:
+        _emit_error(args, "EncodingError", 0, f"input is not UTF-8 text: {exc}")
+        return 2
     parser.error(f"unknown command {args.command}")
     return 2
 
@@ -324,6 +327,10 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples <= 0:
+        _emit_error(args, "SyntaxError", 0,
+                    f"--samples must be a positive integer, got {args.samples}")
+        return 2
     config = GeneratorConfig(master_seed=args.seed, samples=args.samples,
                              dim=args.dim)
     try:

@@ -199,22 +199,39 @@ class CurvatureTensor:
 
     def component(self, i: int, j: int, k: int, l: int) -> Fraction:
         """R^l_{ijk}: coefficient of e_l in R(e_i, e_j) e_k."""
-        return self.op(i, j)[l][k]
+        if i == j:
+            return Fraction(0)
+        if i < j:
+            return self._ops[(i, j)][l][k]
+        return -self._ops[(j, i)][l][k]
 
     def lowered(self, i: int, j: int, k: int, l: int) -> Fraction:
         """R_{ijkl} = g(R(e_i, e_j) e_k, e_l)."""
-        rk = self.op(i, j).col(k)
-        return sum((rk[m] * self.g[m][l] for m in range(self.dim) if rk[m]),
-                   Fraction(0))
+        if i == j:
+            return Fraction(0)
+        rows = self._ops[(i, j) if i < j else (j, i)].rows
+        g = self.g
+        total = sum((row[k] * g[m][l] for m, row in enumerate(rows) if row[k]),
+                    Fraction(0))
+        return total if i < j else -total
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self._ops.values())
 
 
+def _foreign(s: AntiHermitianStructure, conn: Optional[Connection]):
+    """conn, or None when it is the structure's own memoized levi_civita(s)."""
+    return None if conn is s._cache.get("levi_civita") else conn
+
+
 def curvature(s: AntiHermitianStructure,
               conn: Optional[Connection] = None) -> CurvatureTensor:
-    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs."""
-    conn_in = conn
+    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs.
+
+    The tensor is memoized on s when conn is None or is s's own memoized
+    levi_civita(s); any other connection builds a fresh, unmemoized tensor.
+    """
+    conn_in = _foreign(s, conn)
 
     def build():
         c = conn_in or levi_civita(s)
@@ -243,9 +260,10 @@ def ricci(s: AntiHermitianStructure,
     """Ricci tensor Rc and operator Ric with Rc(x, y) = g(Ric x, y).
 
     Rc_jk = sum_i R^i_{ijk} (trace over the first curvature slot);
-    Ric = g^{-1} Rc.
+    Ric = g^{-1} Rc.  Memoized, together with the curvature it traces, under
+    the same rule as curvature(): when conn is None or s's own levi_civita(s).
     """
-    conn_in = conn
+    conn_in = _foreign(s, conn)
 
     def build():
         r = curvature(s, conn_in)

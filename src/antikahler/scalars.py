@@ -385,10 +385,26 @@ class Matrix:
 
 
 def _dot(u: Sequence, v: Sequence):
-    total = None
+    """Sum of a * b over paired entries, skipping pairs with a zero factor.
+
+    A skipped pair adds only a zero, but that zero carries its type: a
+    Fraction plus a Gaussian zero is Gaussian.  Zero pairs that are not both
+    Fractions are therefore still summed into ``zeros``, so over Fraction
+    and GaussianRational entries the result equals the dense left-to-right
+    sum in value and in type.
+    """
+    total = zeros = None
     for a, b in zip(u, v):
-        term = a * b
-        total = term if total is None else total + term
+        if a and b:
+            term = a * b
+            total = term if total is None else total + term
+        elif type(a) is not Fraction or type(b) is not Fraction:
+            term = a * b
+            zeros = term if zeros is None else zeros + term
+    if zeros is not None:
+        return zeros if total is None else total + zeros
+    if total is None and u:
+        return Fraction(0)
     return total
 
 

@@ -295,7 +295,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        """No assertion failed, and at least one was checked."""
+        return self.checks > 0 and not self.failures
 
     def check(self, ok: bool, assertion: str, sample: int = -1,
               witness_text: Optional[str] = None):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from antikahler import catalog
+from antikahler import catalog, geometry
 from antikahler.cli.main import main
 from antikahler.cli.textio import (
     StructureFileError,
@@ -212,6 +212,43 @@ class TestCommands:
         code, _, err = run_cli(capsys, "verify", "not_a_suite")
         assert code == 2
         assert "UnknownSuite" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_verify_rejects_non_positive_samples(self, capsys, samples):
+        code, out, err = run_cli(capsys, "verify", "koszul_laws",
+                                 "--samples", samples)
+        assert code == 2
+        assert "error[SyntaxError]" in err and "--samples" in err
+        assert out == ""
+        code, out, _ = run_cli(capsys, "verify", "koszul_laws",
+                               "--samples", samples, "--output", "machine")
+        assert code == 2
+        assert json.loads(out)["error"]["class"] == "SyntaxError"
+
+    def test_non_utf8_input_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"[algebra]\ndim = 2 # \xff\n")
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert "error[EncodingError]" in err and out == ""
+        code, out, _ = run_cli(capsys, "check", str(path), "--output", "machine")
+        assert code == 2
+        assert json.loads(out)["error"]["class"] == "EncodingError"
+
+    def test_curvature_command_builds_once(self, tmp_path, capsys, monkeypatch):
+        builds = []
+
+        class CountingTensor(geometry.CurvatureTensor):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(geometry, "CurvatureTensor", CountingTensor)
+        path = tmp_path / "sl2c.txt"
+        path.write_text(format_structure(catalog.get("sl2c_killing").structure))
+        code, _, _ = run_cli(capsys, "curvature", str(path), "--output", "machine")
+        assert code == 0
+        assert len(builds) == 1
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

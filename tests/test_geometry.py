@@ -12,6 +12,7 @@ from antikahler.classify4 import (
 from antikahler.geometry import (
     AntiHermitianStructure,
     BadJSquareError,
+    Connection,
     NotAntiIsometryError,
     SingularMetricError,
     abelian_j_connection,
@@ -220,11 +221,49 @@ class TestCurvature:
                                      for x in alg.bracket(w, basis(6, k)))
                     assert r.op(i, j).col(k) == expected
 
+    def test_reads_below_the_diagonal(self):
+        for s in sample_structures():
+            r = curvature(s)
+            n = s.dim
+            for i in range(n):
+                for j in range(i):
+                    op = r.op(i, j)
+                    for k in range(n):
+                        col = op.col(k)
+                        for l in range(n):
+                            assert r.component(i, j, k, l) == -r.component(j, i, k, l)
+                            assert r.component(i, j, k, l) == op[l][k]
+                            assert r.lowered(i, j, k, l) == s.metric(col, basis(n, l))
+                            assert r.lowered(i, j, k, l) == -r.lowered(j, i, k, l)
+            assert r.component(1, 1, 0, 0) == 0 and r.lowered(1, 1, 0, 0) == 0
+
     def test_purity_for_anti_kahler(self):
         for s in sample_structures():
             if is_anti_kahler(s):
                 assert curvature_is_pure(s)
                 assert curvature_j_anticommutes(s)
+
+
+def fresh(name):
+    """A new, unmemoized copy of a catalog structure."""
+    s = catalog.get(name).structure
+    return AntiHermitianStructure(s.algebra, s.g, s.J)
+
+
+class TestMemo:
+    def test_own_connection_uses_memo(self):
+        s = fresh("sl2c_killing")
+        assert curvature(s, levi_civita(s)) is curvature(s)
+        assert ricci(s, levi_civita(s)) is ricci(s)
+
+    def test_foreign_connection_is_not_memoized(self):
+        s = fresh("sl2c_killing")
+        other = Connection(levi_civita(s).operators)
+        r, memo = curvature(s, other), curvature(s)
+        assert r is not memo
+        assert all(r.op(i, j) == memo.op(i, j) for i in range(6) for j in range(6))
+        assert ricci(s, other) is not ricci(s)
+        assert ricci(s, other) == ricci(s)
 
 
 class TestRicci:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from antikahler.scalars import (
     GaussianRational,
+    _dot,
     Matrix,
     NotSymmetricError,
     SingularMatrixError,
@@ -18,6 +19,13 @@ from antikahler.scalars import (
 )
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+# entries of mixed Q / Q(i) rows, zeros of both types drawn often
+mixed_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.just(GaussianRational(Fraction(0))),
+    small_fractions,
+    st.builds(GaussianRational, small_fractions, small_fractions),
+)
 
 
 def n7_metric() -> Matrix:
@@ -200,3 +208,63 @@ class TestNullspace:
 
     def test_full_rank(self):
         assert Matrix.identity(3).nullspace() == []
+
+
+def dense_dot(u, v):
+    """The plain left-to-right sum of every product, zeros included."""
+    total = None
+    for a, b in zip(u, v):
+        term = a * b
+        total = term if total is None else total + term
+    return total
+
+
+def assert_same_scalar(got, want):
+    assert got == want
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
+class TestZeroSkippingDot:
+    def test_all_zero_fraction_row(self):
+        got = _dot((Fraction(0),) * 3, (Fraction(1), Fraction(2), Fraction(3)))
+        assert_same_scalar(got, Fraction(0))
+
+    def test_all_zero_row_against_gaussian_column(self):
+        z = GaussianRational(Fraction(0))
+        u = (Fraction(0), Fraction(0))
+        v = (GaussianRational(Fraction(1), Fraction(2)), z)
+        assert_same_scalar(_dot(u, v), dense_dot(u, v))
+        assert isinstance(_dot(u, v), GaussianRational)
+
+    def test_interleaved_zeros(self):
+        u = (Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1), Fraction(0))
+        v = (Fraction(5), Fraction(2), Fraction(7), Fraction(0), Fraction(1, 3))
+        assert_same_scalar(_dot(u, v), dense_dot(u, v))
+
+    def test_gaussian_zero_keeps_result_gaussian(self):
+        # the only Gaussian factor is a skipped zero; the dense sum is Gaussian
+        u = (Fraction(2), GaussianRational(Fraction(0)), Fraction(1))
+        v = (Fraction(3), Fraction(4), Fraction(0))
+        assert_same_scalar(_dot(u, v), dense_dot(u, v))
+        assert str(_dot(u, v)) == "6 + 0i"
+
+    @given(st.lists(st.tuples(mixed_entries, mixed_entries), min_size=1, max_size=7))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_sum(self, pairs):
+        u, v = zip(*pairs)
+        assert_same_scalar(_dot(u, v), dense_dot(u, v))
+
+    @given(st.lists(mixed_entries, min_size=9, max_size=9),
+           st.lists(mixed_entries, min_size=9, max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_product_and_apply_match_dense(self, a, b):
+        left = Matrix([a[0:3], a[3:6], a[6:9]])
+        right = Matrix([b[0:3], b[3:6], b[6:9]])
+        product = left * right
+        for i in range(3):
+            for j in range(3):
+                assert_same_scalar(product[i][j], dense_dot(left[i], right.col(j)))
+        applied = left.apply(b[0:3])
+        for i in range(3):
+            assert_same_scalar(applied[i], dense_dot(left[i], b[0:3]))

@@ -120,6 +120,13 @@ class TestReportFormat:
             if line.startswith("  "))
         assert parse_structure(payload) == s
 
+    def test_zero_checks_is_a_failure(self):
+        report = SuiteReport(suite="demo",
+                             config=GeneratorConfig(master_seed=1, samples=1, dim=4))
+        assert report.checks == 0 and not report.passed
+        assert report.to_text().endswith("result: FAIL\n")
+        assert report.to_machine()["result"] == "fail"
+
     def test_pass_report_shape(self):
         report = run_suite("worked_example_n7",
                            GeneratorConfig(master_seed=2, samples=2, dim=4))
