@@ -2,10 +2,11 @@
 
 Grammar: '#' starts a comment; section headers are exactly [algebra],
 [metric] and [complex_structure].  The algebra section has one 'dim = N'
-line and bracket lines 'bracket e<i> e<j> = <coeff> e<k> [+ <coeff> e<k>]...'
-with i < j; unlisted brackets are zero, duplicates are errors.  Matrix
-sections hold dim rows 'row = r1 r2 ... rdim' of rational tokens.  Printing
-is canonical, so parse -> print -> parse is the identity byte for byte.
+line, 1 <= N <= MAX_DIM (64), and bracket lines
+'bracket e<i> e<j> = <coeff> e<k> [+ <coeff> e<k>]...' with i < j; unlisted
+brackets are zero, duplicates are errors.  Matrix sections hold dim rows
+'row = r1 r2 ... rdim' of rational tokens.  Printing is canonical, so
+parse -> print -> parse is the identity byte for byte.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ class StructureFileError(ValueError):
 
 
 _SECTIONS = ("[algebra]", "[metric]", "[complex_structure]")
+
+# Largest accepted 'dim'; checked before anything of that size is allocated.
+MAX_DIM = 64
 
 
 def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
@@ -151,6 +155,8 @@ def _parse_algebra_line(line, lineno, brackets, bracket_lines, dim) -> Optional[
             raise StructureSyntaxError(lineno, f"bad dimension {tokens[2]!r}") from None
         if value < 1:
             raise StructureSyntaxError(lineno, "dim must be positive")
+        if value > MAX_DIM:
+            raise StructureSyntaxError(lineno, f"dim {value} exceeds the maximum {MAX_DIM}")
         return value
     if tokens[0] != "bracket":
         raise StructureSyntaxError(lineno, f"unexpected line {line!r}")

@@ -21,6 +21,10 @@ from .scalars import (
     GaussianRational,
     Matrix,
     SingularMatrixError,
+    basis_vector,
+    clear_denominators,
+    fractions_over,
+    int_matmul,
     signature,
 )
 
@@ -35,10 +39,6 @@ class SingularMetricError(ValueError):
 
 class NotAntiIsometryError(ValueError):
     """g(Jx, Jy) = -g(x, y) fails (or g is not symmetric)."""
-
-
-def _basis(dim: int, i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
 
 
 class AntiHermitianStructure:
@@ -134,30 +134,44 @@ class Connection:
         return self.operators == other.operators
 
 
+def _lowered_brackets(s: AntiHermitianStructure) -> tuple[list, int]:
+    """Integers L and a denominator d with L[a][b][k] / d = g([e_a, e_b], e_k).
+
+    Each nonzero bracket is lowered once; rows of pairs with a zero bracket
+    are one shared zero row.
+    """
+    n = s.dim
+    table = s.algebra.nonzero_brackets()
+    brackets, dc = clear_denominators(table.values())
+    g, dg = clear_denominators(s.g.rows)
+    zero = [0] * n
+    lowered = [[zero] * n for _ in range(n)]
+    for (a, b), row in zip(table, int_matmul(brackets, g)):
+        lowered[a][b] = row
+        lowered[b][a] = [-x for x in row]
+    return lowered, dc * dg
+
+
 def levi_civita(s: AntiHermitianStructure) -> Connection:
     """Unique metric, torsion-free connection via the Koszul formula.
 
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j], e_k) - g([e_j,e_k], e_i)
                                 + g([e_k,e_i], e_j), solved by g^{-1}.
+    The right-hand sides and the product with g^{-1} run over integers with
+    one shared denominator; each Gamma entry becomes a Fraction once.
     """
     def build():
-        alg, g, g_inv = s.algebra, s.g, s.g_inv
-        n = alg.dim
-        half = Fraction(1, 2)
-
-        def g_of(vec: Sequence, k: int) -> Fraction:
-            return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
-
+        n = s.dim
+        lowered, den = _lowered_brackets(s)
+        g_inv, d_inv = clear_denominators(s.g_inv.rows)
+        den = 2 * den * d_inv
         operators = []
         for i in range(n):
-            cols = []
-            for j in range(n):
-                rhs = [half * (g_of(alg.bracket_basis(i, j), k)
-                               - g_of(alg.bracket_basis(j, k), i)
-                               + g_of(alg.bracket_basis(k, i), j))
-                       for k in range(n)]
-                cols.append(g_inv.apply(rhs))
-            operators.append(Matrix.from_cols(cols))
+            low_i = lowered[i]
+            # rhs[k][j] = 2 g(nabla_{e_i} e_j, e_k) times the lowering denominator
+            rhs = [[low_i[j][k] - lowered[j][k][i] + lowered[k][i][j]
+                    for j in range(n)] for k in range(n)]
+            operators.append(Matrix(fractions_over(int_matmul(g_inv, rhs), den)))
         return Connection(operators)
 
     return s._memo("levi_civita", build)
@@ -177,14 +191,21 @@ def is_anti_kahler(s: AntiHermitianStructure) -> bool:
 
 
 class CurvatureTensor:
-    """R(e_i, e_j) as operators for i < j, with the g-lowered form available."""
+    """R(e_i, e_j) as operators for i < j, with the g-lowered form available.
 
-    __slots__ = ("dim", "g", "_ops")
+    The operators are also kept as integer numerators over one shared
+    denominator, from which the Ricci trace is taken.
+    """
 
-    def __init__(self, dim: int, g: Matrix, ops: dict):
+    __slots__ = ("dim", "g", "_ops", "_numerators", "_den")
+
+    def __init__(self, dim: int, g: Matrix, numerators: dict, den: int):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_ops", ops)
+        object.__setattr__(self, "_ops", {key: Matrix(fractions_over(rows, den))
+                                          for key, rows in numerators.items()})
+        object.__setattr__(self, "_numerators", numerators)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
@@ -235,20 +256,26 @@ def curvature(s: AntiHermitianStructure,
 
     def build():
         c = conn_in or levi_civita(s)
-        alg = s.algebra
-        n = alg.dim
-        ops = {}
+        n = s.dim
+        table = s.algebra.nonzero_brackets()
+        brackets, dw = clear_denominators(table.values())
+        brackets = dict(zip(table, brackets))
+        rows, d = clear_denominators(row for m in c.operators for row in m.rows)
+        nums = [rows[i * n:(i + 1) * n] for i in range(n)]
+        # R(e_i, e_j) = (N_i N_j - N_j N_i) / d^2 - sum_l (w_l / dw) N_l / d
+        numerators = {}
         for i in range(n):
-            mi = c.nabla_basis(i)
             for j in range(i + 1, n):
-                mj = c.nabla_basis(j)
-                r = mi * mj - mj * mi
-                w = alg.bracket_basis(i, j)
-                for l in range(n):
-                    if w[l]:
-                        r = r - w[l] * c.nabla_basis(l)
-                ops[(i, j)] = r
-        return CurvatureTensor(n, s.g, ops)
+                ab, ba = int_matmul(nums[i], nums[j]), int_matmul(nums[j], nums[i])
+                r = [[(x - y) * dw for x, y in zip(ab_row, ba_row)]
+                     for ab_row, ba_row in zip(ab, ba)]
+                for l, wl in enumerate(brackets.get((i, j), ())):
+                    if wl:
+                        scale = d * wl
+                        r = [[x - scale * y for x, y in zip(r_row, n_row)]
+                             for r_row, n_row in zip(r, nums[l])]
+                numerators[(i, j)] = r
+        return CurvatureTensor(n, s.g, numerators, d * d * dw)
 
     if conn_in is None:
         return s._memo("curvature", build)
@@ -268,8 +295,11 @@ def ricci(s: AntiHermitianStructure,
     def build():
         r = curvature(s, conn_in)
         n = s.dim
-        rc = Matrix([[sum((r.component(i, j, k, i) for i in range(n)), Fraction(0))
-                      for k in range(n)] for j in range(n)])
+        nums = r._numerators
+        # Rc_jk = sum_i R(e_i, e_j)[i][k], read from the stored i < j numerators
+        rc = [[sum(nums[(i, j)][i][k] if i < j else -nums[(j, i)][i][k]
+                   for i in range(n) if i != j) for k in range(n)] for j in range(n)]
+        rc = Matrix(fractions_over(rc, r._den))
         ric = s.g_inv * rc
         return rc, ric
 
@@ -357,18 +387,10 @@ def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:
 
 def is_bi_invariant_metric(s: AntiHermitianStructure) -> bool:
     """g([x,y], z) + g(y, [x,z]) = 0 on all basis triples (ad-invariance)."""
-    alg, g = s.algebra, s.g
-    n = alg.dim
-
-    def g_of(vec, k):
-        return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if g_of(alg.bracket_basis(i, j), k) + g_of(alg.bracket_basis(i, k), j) != 0:
-                    return False
-    return True
+    lowered, _ = _lowered_brackets(s)
+    n = s.dim
+    return all(lowered[i][j][k] + lowered[i][k][j] == 0
+               for i in range(n) for j in range(n) for k in range(n))
 
 
 def twin_metric(s: AntiHermitianStructure) -> AntiHermitianStructure:
@@ -402,7 +424,7 @@ class ComplexifiedForm:
         cols = [t.col(i) for i in range(n)]
         for i in range(n):
             for j in range(i, n):
-                if self.eval(cols[i], cols[j]) != self.eval(_basis(n, i), _basis(n, j)):
+                if self.eval(cols[i], cols[j]) != self.eval(basis_vector(n, i), basis_vector(n, j)):
                     return False
         return True
 
@@ -414,7 +436,7 @@ def _complex_basis(j_map: Matrix) -> tuple:
     chosen: list = []
     spanning_rows: list = []
     for i in range(n):
-        cand = _basis(n, i)
+        cand = basis_vector(n, i)
         trial = spanning_rows + [cand, j_map.apply(cand)]
         if Matrix(trial).rank() == len(trial):
             chosen.append(cand)
@@ -490,7 +512,7 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
     operators = []
     for i in range(n):
         cols = []
-        ei = _basis(n, i)
+        ei = basis_vector(n, i)
         for j in range(n):
             plain = alg.bracket_basis(i, j)
             twisted = J.apply(alg.bracket(ei, J.col(j)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import DimensionMismatchError, Matrix
+from .scalars import DimensionMismatchError, Matrix, basis_vector, clear_denominators
 
 BracketTable = Mapping[tuple[int, int], Sequence]
 
@@ -53,42 +53,37 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
 
     Zero exactly when the (antisymmetrized) table defines a Lie algebra.
     Works on raw tables, before any validation; a validated LieAlgebra may
-    be passed directly (and then always yields zero).
+    be passed directly (and then always yields zero).  A raw table is read
+    pair by pair: [e_a, e_b] is the listed (a, b) value, else minus the
+    listed (b, a) value, else zero, so a table may list either order or
+    both.  Only triples holding a nonzero bracket are visited, in integers
+    over one shared denominator.
     """
     if isinstance(dim, LieAlgebra):
         dim, brackets = dim.dim, dim.nonzero_brackets()
     table = {key: _as_vector(dim, vec) for key, vec in brackets.items()}
-
-    def basis_bracket(i: int, j: int) -> tuple:
-        if i == j:
-            return _zero(dim)
-        if (i, j) in table:
-            return table[(i, j)]
-        if (j, i) in table:
-            return tuple(-x for x in table[(j, i)])
-        return _zero(dim)
-
-    def vec_bracket(x: Sequence, j: int) -> list:
-        out = [Fraction(0)] * dim
-        for i, xi in enumerate(x):
-            if xi:
-                w = basis_bracket(i, j)
-                for k in range(dim):
-                    out[k] += xi * w[k]
-        return out
-
-    worst = Fraction(0)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for k in range(j + 1, dim):
-                res = [Fraction(0)] * dim
-                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = basis_bracket(a, b)
-                    outer = vec_bracket(inner, c)
-                    for m in range(dim):
-                        res[m] += outer[m]
-                worst = max(worst, max((abs(x) for x in res), default=Fraction(0)))
-    return worst
+    span = range(dim)
+    listed = {(a, b): vec for (a, b), vec in table.items()
+              if a != b and a in span and b in span}
+    rows, den = clear_denominators(listed.values())
+    listed = dict(zip(listed, rows))
+    bracket = {}
+    for (a, b), row in listed.items():
+        bracket[(a, b)] = [(k, x) for k, x in enumerate(row) if x]
+        if (b, a) not in listed:
+            bracket[(b, a)] = [(k, -x) for k, x in enumerate(row) if x]
+    triples = {tuple(sorted((a, b, c)))
+               for (a, b), terms in bracket.items() if terms
+               for c in span if c != a and c != b}
+    worst = 0
+    for i, j, k in triples:
+        res = [0] * dim
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, x in bracket.get((a, b), ()):
+                for p, y in bracket.get((m, c), ()):
+                    res[p] += x * y
+        worst = max(worst, max(map(abs, res)))
+    return Fraction(worst, den * den)
 
 
 class LieAlgebra:
@@ -180,7 +175,7 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad_x = [x, .]."""
-        return Matrix.from_cols([self.bracket(x, _basis(self.dim, j))
+        return Matrix.from_cols([self.bracket(x, basis_vector(self.dim, j))
                                  for j in range(self.dim)])
 
     def killing_form(self) -> Matrix:
@@ -227,10 +222,6 @@ class LieAlgebra:
         return self.dim - Matrix(rows).rank()
 
 
-def _basis(dim: int, i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
-
-
 def check_complex_structure(j_map: Matrix) -> None:
     """Raise unless J^2 = -I exactly."""
     if not j_map.is_square():
@@ -253,8 +244,8 @@ def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:
         ji = j_map.col(i)
         for j in range(n):
             jj = j_map.col(j)
-            ej = _basis(n, j)
-            ei = _basis(n, i)
+            ej = basis_vector(n, j)
+            ei = basis_vector(n, i)
             term1 = algebra.bracket(ji, jj)
             term2 = j_map.apply(algebra.bracket(ji, ej))
             term3 = j_map.apply(algebra.bracket(ei, jj))
@@ -288,7 +279,7 @@ def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     for i in range(n):
         ji = j_map.col(i)
         for j in range(n):
-            lhs = algebra.bracket(ji, _basis(n, j))
+            lhs = algebra.bracket(ji, basis_vector(n, j))
             rhs = j_map.apply(algebra.bracket_basis(i, j))
             if lhs != rhs:
                 return False

@@ -165,6 +165,47 @@ def _is_zero(x) -> bool:
     return x == 0
 
 
+def basis_vector(dim: int, i: int) -> tuple:
+    """Coordinates of the basis vector e_i in dimension dim."""
+    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
+
+
+def clear_denominators(rows: Iterable[Sequence]) -> tuple[list[list[int]], int]:
+    """Integer rows N and the lcm d of all denominators, so that rows = N / d.
+
+    Entries must be rationals (Fraction or int).  The lcm is taken once for
+    the whole table, so one shared denominator stands for every entry.
+    """
+    rows = list(rows)
+    den = math.lcm(*{x.denominator for row in rows for x in row})
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer matrix product a b, skipping every pair with a zero factor."""
+    ncols = len(b[0])
+    sparse_b = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, b_row in zip(row, sparse_b):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def fractions_over(rows: Iterable[Iterable[int]], den: int) -> list[list[Fraction]]:
+    """Entries num / den as Fractions, one normalization per nonzero entry."""
+    zero = Fraction(0)
+    return [[Fraction(x, den) if x else zero for x in row] for row in rows]
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
 class Matrix:
     """Immutable dense matrix over Q or Q(i)."""
 
@@ -244,6 +285,10 @@ class Matrix:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}")
+            if _all_fractions(self.rows) and _all_fractions(other.rows):
+                a, da = clear_denominators(self.rows)
+                b, db = clear_denominators(other.rows)
+                return Matrix(fractions_over(int_matmul(a, b), da * db))
             cols = list(zip(*other.rows))
             return Matrix([[_dot(row, col) for col in cols] for row in self.rows])
         return Matrix([[a * other for a in row] for row in self.rows])

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import AntiHermitianStructure, Connection, levi_civita
-from .scalars import Matrix
+from .scalars import Matrix, basis_vector
 
 
 class ThetaTensor:
@@ -67,7 +67,7 @@ def theta_bracket_form(s: AntiHermitianStructure) -> ThetaTensor:
     n = alg.dim
 
     def pair(i: int, j: int, k: int) -> Fraction:
-        vec = alg.bracket(J.col(i), _basis(n, j))
+        vec = alg.bracket(J.col(i), basis_vector(n, j))
         return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
 
     entries = [[[pair(i, j, k) + pair(j, k, i) + pair(k, i, j)
@@ -144,7 +144,3 @@ def theta_form_ratio(s: AntiHermitianStructure) -> Optional[Fraction]:
                 elif ratio != r:
                     raise ArithmeticError("theta forms are not proportional")
     return ratio
-
-
-def _basis(dim: int, i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))

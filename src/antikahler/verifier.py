@@ -58,7 +58,7 @@ from .geometry import (
     twin_metric,
 )
 from .liealg import LieAlgebra, is_abelian_j, is_bi_invariant_j, nijenhuis_is_zero
-from .scalars import GaussianRational, Matrix, signature
+from .scalars import GaussianRational, Matrix, basis_vector, signature
 from .theta import anti_kahler_via_theta, theta_bracket_form
 
 
@@ -192,7 +192,7 @@ def _complex_basis_of(j_map: Matrix) -> list:
     chosen = []
     spanning = []
     for i in range(n):
-        cand = _basis(n, i)
+        cand = basis_vector(n, i)
         trial = spanning + [cand, j_map.apply(cand)]
         if Matrix(trial).rank() == len(trial):
             chosen.append(cand)
@@ -200,10 +200,6 @@ def _complex_basis_of(j_map: Matrix) -> list:
             if len(spanning) == n:
                 break
     return chosen
-
-
-def _basis(dim: int, i: int) -> tuple:
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
 
 
 def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStructure:
@@ -518,7 +514,7 @@ def _bi_invariant_curvature_identity(s: AntiHermitianStructure) -> bool:
             w = alg.bracket_basis(i, j)
             for k in range(n):
                 expected = tuple(quarter * x
-                                 for x in alg.bracket(w, _basis(n, k)))
+                                 for x in alg.bracket(w, basis_vector(n, k)))
                 if op.col(k) != expected:
                     return False
     return True
@@ -543,7 +539,7 @@ def _bracket_identity_holds(s: AntiHermitianStructure) -> bool:
             w = alg.bracket_basis(i, jdx)
             jw = j.apply(w)
             for k in range(n):
-                ek = _basis(n, k)
+                ek = basis_vector(n, k)
                 if alg.bracket(jw, ek) != tuple(j.apply(alg.bracket(w, ek))):
                     return False
     return True
@@ -601,7 +597,7 @@ def _theta_is_bracket_multiple(s: AntiHermitianStructure) -> bool:
     ratio = None
     for i in range(n):
         for jdx in range(n):
-            vec = alg.bracket(j.col(i), _basis(n, jdx))
+            vec = alg.bracket(j.col(i), basis_vector(n, jdx))
             for k in range(n):
                 base = sum((vec[m] * g[m][k] for m in range(n)), Fraction(0))
                 value = theta(i, jdx, k)

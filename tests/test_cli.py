@@ -1,10 +1,13 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
 from antikahler import catalog, geometry
 from antikahler.cli.main import main
 from antikahler.cli.textio import (
+    MAX_DIM,
     StructureFileError,
     StructureSyntaxError,
     format_structure,
@@ -108,6 +111,26 @@ class TestParse:
             parse_structure(text)
 
 
+    def test_dimension_cap(self):
+        assert MAX_DIM == 64
+        assert parse_structure(f"[algebra]\ndim = {MAX_DIM}\n").dim == MAX_DIM
+        with pytest.raises(StructureSyntaxError) as err:
+            parse_structure(f"[algebra]\ndim = {MAX_DIM + 1}\n")
+        assert err.value.line == 2
+
+    def test_huge_dimension_allocates_nothing(self):
+        text = "[algebra]\ndim = 1000000000\nbracket e1 e2 = 1 e3\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(StructureSyntaxError) as err:
+                parse_structure(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "exceeds the maximum 64" in str(err.value)
+        assert peak < 1 << 20
+
+
 class TestCommands:
     def test_check_n7(self, tmp_path, capsys):
         path = tmp_path / "n7.txt"
@@ -131,6 +154,26 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["structure"] == "algebra"
         assert doc["predicates"]["unimodular"] is True
+
+    def test_huge_dimension_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.txt"
+        path.write_text("[algebra]\ndim = 1000000000\nbracket e1 e2 = 1 e3\n")
+        code, out, _ = run_cli(capsys, "check", str(path), "--output", "machine")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["class"] == "SyntaxError" and error["line"] == 2
+
+    def test_check_bare_dim_40_is_fast(self, tmp_path, capsys):
+        path = tmp_path / "bare.txt"
+        path.write_text("[algebra]\ndim = 40\n")
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "check", str(path), "--output", "machine")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["predicates"] == {"unimodular": True, "abelian": True}
+        assert (doc["derived_dim"], doc["center_dim"]) == (0, 40)
+        assert elapsed < 1.0
 
     def test_classify_affc(self, tmp_path, capsys):
         path = tmp_path / "aff.txt"

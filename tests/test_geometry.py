@@ -267,6 +267,21 @@ class TestMemo:
 
 
 class TestRicci:
+    def test_trace_of_components_for_any_connection(self):
+        # a connection that is not Levi-Civita, and one given with int entries
+        for s in sample_structures():
+            n = s.dim
+            ops = levi_civita(s).operators
+            for conn in (abelian_j_connection(s),
+                         Connection([ops[0].map(lambda x: int(x * 2 ** 64))] + list(ops[1:]))):
+                r = curvature(s, conn)
+                rc, ric = ricci(s, conn)
+                want = Matrix([[sum((r.component(i, j, k, i) for i in range(n)),
+                                    Fraction(0)) for k in range(n)] for j in range(n)])
+                assert rc == want
+                assert ric == s.g_inv * want
+                assert all(type(x) is Fraction for row in rc.rows for x in row)
+
     def test_case2_unit(self):
         s = make_family_case2(1, 0, 0, 0)
         rc, ric = ricci(s)

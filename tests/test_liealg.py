@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,105 @@ class TestConstruction:
         assert jacobi_residual(4, {}) == 0
         n7 = catalog.get("n7_J-1").structure.algebra
         assert jacobi_residual(6, n7.nonzero_brackets()) == 0
+
+
+def dense_jacobi_residual(dim, brackets):
+    """Reference: every triple i < j < k and every component, over Fractions.
+
+    A raw table is read as the check reads it: the listed (a, b) value,
+    else minus the listed (b, a) value, else zero.
+    """
+    def vector(value):
+        if isinstance(value, dict):
+            vec = [Fraction(0)] * dim
+            for k, coeff in value.items():
+                vec[k] = Fraction(coeff)
+            return tuple(vec)
+        return tuple(Fraction(x) for x in value)
+
+    table = {key: vector(vec) for key, vec in brackets.items()}
+    zero = (Fraction(0),) * dim
+
+    def basis_bracket(i, j):
+        if i == j:
+            return zero
+        if (i, j) in table:
+            return table[(i, j)]
+        if (j, i) in table:
+            return tuple(-x for x in table[(j, i)])
+        return zero
+
+    worst = Fraction(0)
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                res = [Fraction(0)] * dim
+                for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+                    inner = basis_bracket(a, b)
+                    for m, x in enumerate(inner):
+                        if x:
+                            outer = basis_bracket(m, c)
+                            for p in range(dim):
+                                res[p] += x * outer[p]
+                worst = max(worst, max(abs(x) for x in res))
+    return worst
+
+
+@st.composite
+def raw_tables(draw, ordered=False):
+    """Raw bracket tables; unless ordered, keys may be (j, i), both orders or (i, i)."""
+    dim = draw(st.integers(2 if ordered else 1, 5))
+    coeffs = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)), small_fractions)
+    vectors = st.lists(coeffs, min_size=dim, max_size=dim).map(tuple)
+    sparse = st.dictionaries(st.integers(0, dim - 1), small_fractions, max_size=2)
+    index = st.integers(0, dim - 1)
+    keys = st.tuples(index, index)
+    if ordered:
+        keys = st.integers(0, dim - 2).flatmap(
+            lambda i: st.tuples(st.just(i), st.integers(i + 1, dim - 1)))
+    table = draw(st.dictionaries(keys, st.one_of(vectors, sparse), max_size=dim * dim))
+    return dim, table
+
+
+class TestSparseJacobiResidual:
+    @given(raw_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_reference(self, case):
+        dim, table = case
+        got = jacobi_residual(dim, table)
+        want = dense_jacobi_residual(dim, table)
+        assert got == want
+        assert type(got) is Fraction
+        assert str(got) == str(want)
+
+    @given(raw_tables(ordered=True))
+    @settings(max_examples=200, deadline=None)
+    def test_same_violation_message(self, case):
+        dim, table = case
+        want = dense_jacobi_residual(dim, table)
+        if want == 0:
+            assert LieAlgebra.from_brackets(dim, table).dim == dim
+        else:
+            with pytest.raises(JacobiViolation) as err:
+                LieAlgebra.from_brackets(dim, table)
+            assert str(err.value) == f"Jacobi identity fails, residual {want}"
+
+    def test_both_orders_listed(self):
+        # (1, 0) is read as given, not as minus (0, 1)
+        table = {(0, 1): (0, 0, 1), (1, 0): (1, 0, 0), (0, 2): (1, 0, 0)}
+        assert jacobi_residual(3, table) == dense_jacobi_residual(3, table)
+
+    def test_validated_algebra(self):
+        n7 = catalog.get("n7_J-1").structure.algebra
+        assert jacobi_residual(n7) == 0
+
+    def test_large_bare_tables_are_fast(self):
+        start = time.perf_counter()
+        assert jacobi_residual(60, {}) == 0
+        assert jacobi_residual(60, {(0, 1): {2: 1}}) == 0
+        assert jacobi_residual(60, {(0, 1): {1: 1}, (0, 2): {2: Fraction(1, 3)}}) == 0
+        assert jacobi_residual(60, {(0, 1): {2: 1}, (0, 2): {0: 1}}) == 1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBracket:

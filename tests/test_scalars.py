@@ -9,6 +9,7 @@ from antikahler.scalars import (
     _dot,
     Matrix,
     NotSymmetricError,
+    clear_denominators,
     SingularMatrixError,
     format_rational,
     gaussian_sqrt,
@@ -19,6 +20,13 @@ from antikahler.scalars import (
 )
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+# entries of Q-only products: zeros often, integers, and large denominators
+rational_entries = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.integers(-50, 50).map(Fraction),
+    st.fractions(max_denominator=2**80),
+)
 # entries of mixed Q / Q(i) rows, zeros of both types drawn often
 mixed_entries = st.one_of(
     st.just(Fraction(0)),
@@ -268,3 +276,70 @@ class TestZeroSkippingDot:
         applied = left.apply(b[0:3])
         for i in range(3):
             assert_same_scalar(applied[i], dense_dot(left[i], b[0:3]))
+
+
+def dot_product(left: Matrix, right: Matrix) -> list:
+    """The product entry by entry through _dot, the path Q(i) operands take."""
+    cols = list(zip(*right.rows))
+    return [[_dot(row, col) for col in cols] for row in left.rows]
+
+
+@st.composite
+def rational_operands(draw):
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    entries = st.lists(rational_entries, min_size=k, max_size=k)
+    left = Matrix(draw(st.lists(entries, min_size=r, max_size=r)))
+    right = Matrix(draw(st.lists(st.lists(rational_entries, min_size=c, max_size=c),
+                                 min_size=k, max_size=k)))
+    return left, right
+
+
+class TestFractionFreeProduct:
+    @given(rational_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dot_product(self, operands):
+        left, right = operands
+        product = left * right
+        want = dot_product(left, right)
+        assert (product.nrows, product.ncols) == (left.nrows, right.ncols)
+        for got_row, want_row in zip(product.rows, want):
+            for got, expected in zip(got_row, want_row):
+                assert_same_scalar(got, expected)
+
+    def test_zero_and_integer_operands(self):
+        zero = Matrix.zeros(2, 3)
+        right = Matrix([[1, 2], [3, 4], [5, 6]]).map(Fraction)
+        assert (zero * right).rows == ((Fraction(0), Fraction(0)),) * 2
+        assert all(type(x) is Fraction for row in (zero * right).rows for x in row)
+        assert (right.transpose() * right).rows == ((35, 44), (44, 56))
+
+    def test_large_denominators(self):
+        big = Fraction(1, 2**61 - 1)
+        left = Matrix([[big, Fraction(3, 2**40)], [Fraction(0), Fraction(-7, 3)]])
+        right = Matrix([[Fraction(2**61 - 1), Fraction(0)], [Fraction(1, 5), big]])
+        for got_row, want_row in zip((left * right).rows, dot_product(left, right)):
+            for got, want in zip(got_row, want_row):
+                assert_same_scalar(got, want)
+
+    def test_non_fraction_operands_keep_the_dot_path(self):
+        ints = Matrix([[1, 2], [3, 4]])
+        assert all(type(x) is int for row in (ints * ints).rows for x in row)
+        mixed = Matrix([[Fraction(1), GaussianRational(Fraction(0), Fraction(1))],
+                        [Fraction(0), Fraction(2)]])
+        rational = Matrix([[Fraction(1, 2), Fraction(0)], [Fraction(3), Fraction(1)]])
+        for left, right in ((mixed, rational), (rational, mixed)):
+            for got_row, want_row in zip((left * right).rows, dot_product(left, right)):
+                for got, want in zip(got_row, want_row):
+                    assert_same_scalar(got, want)
+
+    @given(st.lists(st.lists(rational_entries, min_size=3, max_size=3),
+                    min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_clear_denominators(self, rows):
+        ints, den = clear_denominators(rows)
+        assert all(type(x) is int for row in ints for x in row)
+        assert [[Fraction(x, den) for x in row] for row in ints] == rows
+        # den is the least common denominator
+        for p in range(2, 50):
+            if den % p == 0:
+                assert any(x % p for row in ints for x in row)
