@@ -203,10 +203,10 @@ def _cmd_curvature(args) -> int:
     r = curvature(s, conn)
     rc, ric = ricci(s, conn)
     n = s.dim
-    gamma = [[[format_rational(conn.gamma(i, j, k)) for k in range(n)]
-              for j in range(n)] for i in range(n)]
-    riemann = [[[[format_rational(r.component(i, j, k, l)) for l in range(n)]
-                 for k in range(n)] for j in range(n)] for i in range(n)]
+    gamma = [[[format_rational(x) for x in col] for col in zip(*op.rows)]
+             for op in conn.operators]
+    riemann = [[[[format_rational(x) for x in col] for col in zip(*r.op(i, j).rows)]
+                 for j in range(n)] for i in range(n)]
     doc = {
         "command": "curvature",
         "dim": n,

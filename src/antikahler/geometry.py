@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .liealg import LieAlgebra, check_complex_structure
+from .liealg import LieAlgebra, _structure_tensor, check_complex_structure
 from .scalars import (
     DimensionMismatchError,
     GaussianRational,
@@ -23,8 +23,10 @@ from .scalars import (
     SingularMatrixError,
     basis_vector,
     clear_denominators,
+    contract,
     fractions_over,
     int_matmul,
+    integer_map,
     signature,
 )
 
@@ -180,35 +182,49 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
 def nabla_j_operators(s: AntiHermitianStructure,
                       conn: Optional[Connection] = None) -> tuple[Matrix, ...]:
     """Operators (nabla_{e_i} J) = nabla_i J - J nabla_i; all zero iff anti-Kahler."""
-    conn = conn or levi_civita(s)
-    return tuple(m * s.J - s.J * m for m in conn.operators)
+    return tuple(map(Matrix.from_cols, _planes(*_nabla_j(s, conn or levi_civita(s)), s.dim)))
+
+
+def _nabla_j(s: AntiHermitianStructure, conn: Connection) -> tuple[list, int]:
+    """nabla_i J - J nabla_i laid out as _tensor's t, and its denominator."""
+    gamma, d = _tensor(conn.operators)
+    j, jt, dj = integer_map(s.J)
+    return [a - b for a, b in zip(contract(gamma, j, 1), contract(gamma, jt, 2))], d * dj
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
     def build():
-        return all(op.is_zero() for op in nabla_j_operators(s))
+        return not any(_nabla_j(s, levi_civita(s))[0])
     return s._memo("anti_kahler", build)
 
 
 class CurvatureTensor:
     """R(e_i, e_j) as operators for i < j, with the g-lowered form available.
 
-    The operators are also kept as integer numerators over one shared
-    denominator, from which the Ricci trace is taken.
+    The operators are kept as integer numerators over one shared denominator,
+    read by the Ricci trace and the J tests; op, component and lowered build
+    their Fraction form on first use.
     """
 
-    __slots__ = ("dim", "g", "_ops", "_numerators", "_den")
+    __slots__ = ("dim", "g", "_fraction_ops", "_numerators", "_den")
 
     def __init__(self, dim: int, g: Matrix, numerators: dict, den: int):
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_ops", {key: Matrix(fractions_over(rows, den))
-                                          for key, rows in numerators.items()})
+        object.__setattr__(self, "_fraction_ops", None)
         object.__setattr__(self, "_numerators", numerators)
         object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
+
+    @property
+    def _ops(self) -> dict:
+        if self._fraction_ops is None:
+            object.__setattr__(self, "_fraction_ops", {
+                key: Matrix(fractions_over(rows, self._den))
+                for key, rows in self._numerators.items()})
+        return self._fraction_ops
 
     def op(self, i: int, j: int) -> Matrix:
         """Operator R(e_i, e_j); antisymmetric in (i, j) by construction."""
@@ -237,7 +253,33 @@ class CurvatureTensor:
         return total if i < j else -total
 
     def is_zero(self) -> bool:
-        return all(m.is_zero() for m in self._ops.values())
+        return not any(x for rows in self._numerators.values() for row in rows for x in row)
+
+    def _flat(self) -> list:
+        """Numerators as one flat tensor T[i][j][l][k] = R(e_i, e_j)[l][k], all i, j."""
+        n, nums = self.dim, self._numerators
+        blocks = [nums[(i, j)] if i < j else [[-x for x in row] for row in nums[(j, i)]]
+                  if i > j else [[0] * n] * n for i in range(n) for j in range(n)]
+        return [x for block in blocks for row in block for x in row]
+
+
+def _pair_blocks(n: int, mirror: bool = False) -> list:
+    """Slices of the i < j blocks R(e_i, e_j), or of R(e_j, e_i) if mirror, in _flat."""
+    size = n * n
+    pairs = [(j, i) if mirror else (i, j) for i in range(n) for j in range(i + 1, n)]
+    return [slice((a * n + b) * size, (a * n + b + 1) * size) for a, b in pairs]
+
+
+def _tensor(operators: Sequence[Matrix]) -> tuple[list, int]:
+    """Operators as flat integers t[i][j][k] = M_i[k][j] over one denominator."""
+    rows, den = clear_denominators(col for m in operators for col in zip(*m.rows))
+    return [x for row in rows for x in row], den
+
+
+def _planes(t: list, den: int, n: int) -> list:
+    """A flat order-3 integer tensor over den as Fraction rows: out[i][j] = t[i][j][:]."""
+    return [fractions_over((t[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)), den)
+            for i in range(n)]
 
 
 def _foreign(s: AntiHermitianStructure, conn: Optional[Connection]):
@@ -299,9 +341,9 @@ def ricci(s: AntiHermitianStructure,
         # Rc_jk = sum_i R(e_i, e_j)[i][k], read from the stored i < j numerators
         rc = [[sum(nums[(i, j)][i][k] if i < j else -nums[(j, i)][i][k]
                    for i in range(n) if i != j) for k in range(n)] for j in range(n)]
-        rc = Matrix(fractions_over(rc, r._den))
-        ric = s.g_inv * rc
-        return rc, ric
+        g_inv, d_inv = clear_denominators(s.g_inv.rows)
+        ric = Matrix(fractions_over(int_matmul(g_inv, rc), d_inv * r._den))
+        return Matrix(fractions_over(rc, r._den)), ric
 
     if conn_in is None:
         return s._memo("ricci", build)
@@ -339,50 +381,30 @@ def is_ricci_flat(s: AntiHermitianStructure) -> bool:
 
 def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     """Lowered curvature is pure: moving J across any slot preserves it,
-    R(Jx,y,z,w) = R(x,Jy,z,w) = R(x,y,Jz,w) = R(x,y,z,Jw) on the basis."""
-    r = curvature(s)
-    n = s.dim
-    J = s.J
+    R(Jx,y,z,w) = R(x,Jy,z,w) = R(x,y,Jz,w) = R(x,y,z,Jw) on the basis.
 
-    def slot(i, j, k, l, which):
-        total = Fraction(0)
-        for m in range(n):
-            idx = [i, j, k, l]
-            coeff = J[m][idx[which]]
-            if coeff:
-                idx[which] = m
-                total += coeff * r.lowered(*idx)
-        return total
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for l in range(n):
-                    t0 = slot(i, j, k, l, 0)
-                    if (slot(i, j, k, l, 1) != t0 or slot(i, j, k, l, 2) != t0
-                            or slot(i, j, k, l, 3) != t0):
-                        return False
-    return True
+    J is g-symmetric and g invertible, so on integer numerators this is, for
+    i < j, R(e_i, e_j) J = J R(e_i, e_j) = sum_m J_mi R(e_m, e_j) =
+    sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i)."""
+    t = curvature(s)._flat()
+    j, jt, _ = integer_map(s.J)
+    blocks = _pair_blocks(s.dim)
+    right = []
+    for b in blocks:
+        right.append(contract(t[b], j, 1))
+        if right[-1] != contract(t[b], jt, 0):
+            return False
+    first = contract(t, j, 0)
+    return all(first[b] == rj and [-x for x in first[m]] == rj
+               for b, m, rj in zip(blocks, _pair_blocks(s.dim, mirror=True), right))
 
 
 def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:
     """R(Je_i, Je_j) = -R(e_i, e_j) as operators."""
-    r = curvature(s)
-    n = s.dim
-    J = s.J
-    for i in range(n):
-        for j in range(i + 1, n):
-            acc = Matrix.zeros(n, n)
-            for m in range(n):
-                if not J[m][i]:
-                    continue
-                for p in range(n):
-                    coeff = J[m][i] * J[p][j]
-                    if coeff:
-                        acc = acc + coeff * r.op(m, p)
-            if acc != -r.op(i, j):
-                return False
-    return True
+    t = curvature(s)._flat()
+    j, _, dj = integer_map(s.J)
+    rjj = contract(contract(t, j, 0), j, 1)
+    return all(rjj[b] == [-dj * dj * x for x in t[b]] for b in _pair_blocks(s.dim))
 
 
 def is_bi_invariant_metric(s: AntiHermitianStructure) -> bool:
@@ -462,41 +484,25 @@ def preserves_complexified_form(s: AntiHermitianStructure, t: Matrix) -> bool:
 def satisfies_abelian_connection_rule(s: AntiHermitianStructure,
                                       conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = -J nabla_x y on the basis."""
-    conn = conn or levi_civita(s)
-    return _j_direction_rule(s, conn, Fraction(-1))
+    return _j_direction_rule(s, _tensor((conn or levi_civita(s)).operators)[0], -1)
 
 
 def satisfies_bi_invariant_connection_rule(s: AntiHermitianStructure,
                                            conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = J nabla_x y on the basis."""
-    conn = conn or levi_civita(s)
-    return _j_direction_rule(s, conn, Fraction(1))
+    return _j_direction_rule(s, _tensor((conn or levi_civita(s)).operators)[0], 1)
 
 
-def _j_direction_rule(s, conn, sign):
-    n = s.dim
-    for i in range(n):
-        lhs = conn.nabla_direction(s.J.col(i))
-        if lhs != sign * (s.J * conn.nabla_basis(i)):
-            return False
-    return True
+def _j_direction_rule(s, t: list, sign) -> bool:
+    """sum_m J_mi M_m = sign J M_i for all i, operators M given as _tensor's t."""
+    j, jt, _ = integer_map(s.J)
+    return contract(t, j, 0) == [sign * x for x in contract(t, jt, 2)]
 
 
 def epsilon_parallel_holds(s: AntiHermitianStructure, eps: int,
                            conn: Optional[Connection] = None) -> bool:
     """(nabla_{Jx} J) y = eps J (nabla_x J) y on the basis, eps in {+1, -1}."""
-    conn = conn or levi_civita(s)
-    ops = nabla_j_operators(s, conn)
-    n = s.dim
-    for i in range(n):
-        ji = s.J.col(i)
-        lhs = Matrix.zeros(n, n)
-        for m in range(n):
-            if ji[m]:
-                lhs = lhs + ji[m] * ops[m]
-        if lhs != Fraction(eps) * (s.J * ops[i]):
-            return False
-    return True
+    return _j_direction_rule(s, _nabla_j(s, conn or levi_civita(s))[0], eps)
 
 
 def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
@@ -506,19 +512,10 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
     an abelian J; exposed independently so the Koszul path can be checked
     against it.
     """
-    alg, J = s.algebra, s.J
-    n = alg.dim
-    half = Fraction(1, 2)
-    operators = []
-    for i in range(n):
-        cols = []
-        ei = basis_vector(n, i)
-        for j in range(n):
-            plain = alg.bracket_basis(i, j)
-            twisted = J.apply(alg.bracket(ei, J.col(j)))
-            cols.append(tuple(half * (plain[k] - twisted[k]) for k in range(n)))
-        operators.append(Matrix.from_cols(cols))
-    return Connection(operators)
+    c, dc = _structure_tensor(s.algebra)
+    j, jt, dj = integer_map(s.J)
+    t = [dj * dj * a - b for a, b in zip(c, contract(contract(c, j, 1), jt, 2))]
+    return Connection(map(Matrix.from_cols, _planes(t, 2 * dc * dj * dj, s.dim)))
 
 
 def killing_anti_invariant(s: AntiHermitianStructure) -> bool:

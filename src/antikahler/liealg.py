@@ -15,7 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .scalars import DimensionMismatchError, Matrix, basis_vector, clear_denominators
+from .scalars import (
+    DimensionMismatchError,
+    Matrix,
+    basis_vector,
+    clear_denominators,
+    contract,
+    fractions_over,
+    integer_map,
+)
 
 BracketTable = Mapping[tuple[int, int], Sequence]
 
@@ -40,6 +48,9 @@ def _as_vector(dim: int, value) -> tuple:
     if isinstance(value, Mapping):
         vec = [Fraction(0)] * dim
         for k, coeff in value.items():
+            if not 0 <= k < dim:
+                raise DimensionMismatchError(
+                    f"bracket component index {k} out of range for dim {dim}")
             vec[k] = Fraction(coeff)
         return tuple(vec)
     vec = tuple(Fraction(x) for x in value)
@@ -179,47 +190,38 @@ class LieAlgebra:
                                  for j in range(self.dim)])
 
     def killing_form(self) -> Matrix:
-        """B_ij = trace(ad_{e_i} ad_{e_j}); cached, symmetric."""
+        """B_ij = trace(ad_{e_i} ad_{e_j}) = sum_kl C_ik^l C_jl^k; cached, symmetric."""
         if self._killing is None:
-            ads = [self.ad_basis(i) for i in range(self.dim)]
-            rows = []
-            for i in range(self.dim):
-                row = []
-                for j in range(self.dim):
-                    prod = ads[i] * ads[j]
-                    row.append(sum((prod[k][k] for k in range(self.dim)),
-                                   Fraction(0)))
-                rows.append(row)
-            object.__setattr__(self, "_killing", Matrix(rows))
+            n = self.dim
+            c, den = _structure_tensor(self)
+            blocks = [c[a * n * n:(a + 1) * n * n] for a in range(n)]
+            flipped = [[b[l * n + k] for k in range(n) for l in range(n)] for b in blocks]
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                terms = [(p, x) for p, x in enumerate(blocks[i]) if x]
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = sum(x * flipped[j][p] for p, x in terms)
+            object.__setattr__(self, "_killing", Matrix(fractions_over(rows, den * den)))
         return self._killing
 
     def is_unimodular(self) -> bool:
-        for i in range(self.dim):
-            ad_i = self.ad_basis(i)
-            if sum((ad_i[k][k] for k in range(self.dim)), Fraction(0)) != 0:
-                return False
-        return True
+        """trace(ad_{e_i}) = sum_k C_ik^k = 0 for every i."""
+        c, n = _structure_tensor(self)[0], self.dim
+        return not any(sum(c[(i * n + k) * n + k] for k in range(n)) for i in range(n))
 
     def is_abelian(self) -> bool:
         return not self._table
 
     def derived_dim(self) -> int:
         """Dimension of span{[e_i, e_j]}, by exact rank."""
-        vecs = [self.bracket_basis(i, j)
-                for i in range(self.dim) for j in range(i + 1, self.dim)]
-        vecs = [v for v in vecs if any(v)]
-        if not vecs:
-            return 0
-        return Matrix(vecs).rank()
+        return Matrix(list(self._table.values())).rank() if self._table else 0
 
     def center_dim(self) -> int:
-        """dim ker(x -> ad_x), by exact rank of the stacked system."""
-        rows = []
-        for j in range(self.dim):
-            for k in range(self.dim):
-                rows.append([self.structure_constant(i, j, k)
-                             for i in range(self.dim)])
-        return self.dim - Matrix(rows).rank()
+        """dim ker(x -> ad_x): the rank of x -> ad_x is that of the rows C_i."""
+        c, den = _structure_tensor(self)
+        n = self.dim
+        return n - Matrix(fractions_over((c[i * n * n:(i + 1) * n * n] for i in range(n)),
+                                         den)).rank()
 
 
 def check_complex_structure(j_map: Matrix) -> None:
@@ -231,29 +233,41 @@ def check_complex_structure(j_map: Matrix) -> None:
         raise NotComplexStructureError("J^2 != -I")
 
 
+def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
+    """Flat integer tensor C[a][b][k] (coefficient of e_k in [e_a, e_b]) over
+    one denominator; only the nonzero brackets are written."""
+    n = algebra.dim
+    table = algebra._table
+    rows, den = clear_denominators(table.values())
+    flat = [0] * n ** 3
+    for (a, b), row in zip(table, rows):
+        flat[(a * n + b) * n:(a * n + b + 1) * n] = row
+        flat[(b * n + a) * n:(b * n + a + 1) * n] = [-x for x in row]
+    return flat, den
+
+
+def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
+    """C and J as integers: (C, dc, J, J^T, dj) with C = C/dc, J = J/dj."""
+    check_complex_structure(j_map)
+    if j_map.nrows != algebra.dim:
+        raise DimensionMismatchError("J must be dim x dim")
+    return (*_structure_tensor(algebra), *integer_map(j_map))
+
+
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:
     """Table N(e_i, e_j) of [Jx,Jy] - J[Jx,y] - J[x,JY] - [x,y] on basis pairs.
 
     Vanishes identically iff J is integrable in the left-invariant sense.
+    Computed as C(J x J) - J C(J x 1) - J C(1 x J) - C over integers.
     """
-    check_complex_structure(j_map)
+    c, dc, j, jt, dj = _j_contractions(algebra, j_map)
     n = algebra.dim
-    table = []
-    for i in range(n):
-        row = []
-        ji = j_map.col(i)
-        for j in range(n):
-            jj = j_map.col(j)
-            ej = basis_vector(n, j)
-            ei = basis_vector(n, i)
-            term1 = algebra.bracket(ji, jj)
-            term2 = j_map.apply(algebra.bracket(ji, ej))
-            term3 = j_map.apply(algebra.bracket(ei, jj))
-            term4 = algebra.bracket_basis(i, j)
-            row.append(tuple(term1[k] - term2[k] - term3[k] - term4[k]
-                             for k in range(n)))
-        table.append(tuple(row))
-    return tuple(table)
+    cj = contract(c, j, 0)
+    sq = dj * dj
+    terms = zip(contract(cj, j, 1), contract(cj, jt, 2), contract(contract(c, j, 1), jt, 2), c)
+    nums = [a - b - e - sq * x for a, b, e, x in terms]
+    vecs = fractions_over((nums[p:p + n] for p in range(0, len(nums), n)), dc * sq)
+    return tuple(tuple(tuple(vecs[i * n + k]) for k in range(n)) for i in range(n))
 
 
 def nijenhuis_is_zero(algebra: LieAlgebra, j_map: Matrix) -> bool:
@@ -262,38 +276,17 @@ def nijenhuis_is_zero(algebra: LieAlgebra, j_map: Matrix) -> bool:
 
 def is_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs."""
-    check_complex_structure(j_map)
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = algebra.bracket(j_map.col(i), j_map.col(j))
-            if lhs != algebra.bracket_basis(i, j):
-                return False
-    return True
+    c, _, j, _, dj = _j_contractions(algebra, j_map)
+    return contract(contract(c, j, 0), j, 1) == [dj * dj * x for x in c]
 
 
 def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, y] = J[x, y] on all basis pairs."""
-    check_complex_structure(j_map)
-    n = algebra.dim
-    for i in range(n):
-        ji = j_map.col(i)
-        for j in range(n):
-            lhs = algebra.bracket(ji, basis_vector(n, j))
-            rhs = j_map.apply(algebra.bracket_basis(i, j))
-            if lhs != rhs:
-                return False
-    return True
+    c, _, j, jt, _ = _j_contractions(algebra, j_map)
+    return contract(c, j, 0) == contract(c, jt, 2)
 
 
 def is_anti_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, Jy] = -[x, y] on all basis pairs."""
-    check_complex_structure(j_map)
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = algebra.bracket(j_map.col(i), j_map.col(j))
-            rhs = tuple(-x for x in algebra.bracket_basis(i, j))
-            if lhs != rhs:
-                return False
-    return True
+    c, _, j, _, dj = _j_contractions(algebra, j_map)
+    return contract(contract(c, j, 0), j, 1) == [-dj * dj * x for x in c]

@@ -202,6 +202,60 @@ def fractions_over(rows: Iterable[Iterable[int]], den: int) -> list[list[Fractio
     return [[Fraction(x, den) if x else zero for x in row] for row in rows]
 
 
+def contract(t: list, m: Sequence[Sequence[int]], slot: int) -> list:
+    """out[.., i, ..] = sum_k m[k][i] t[.., k, ..] for a flat row-major integer
+    tensor t over n = len(m): m replaces e_i by m e_i in index `slot`, and m's
+    transpose applies m to that index.  Zero factors are skipped."""
+    n = len(m)
+    stride = len(t) // n ** (slot + 1)
+    if stride == 1:
+        return [x for row in int_matmul([t[p:p + n] for p in range(0, len(t), n)], m)
+                for x in row]
+    mt = [list(col) for col in zip(*m)]
+    out = []
+    for base in range(0, len(t), n * stride):
+        for row in int_matmul(mt, [t[base + k * stride:base + (k + 1) * stride]
+                                   for k in range(n)]):
+            out += row
+    return out
+
+
+def integer_map(m: "Matrix") -> tuple[list, list, int]:
+    """A rational matrix m = N / d as (N, N^T, d), the operands of contract()."""
+    rows, den = clear_denominators(m.rows)
+    return rows, [list(col) for col in zip(*rows)], den
+
+
+def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, int]:
+    """Fraction-free elimination of integer rows in place (Bareiss 1968) on the
+    first ncols columns, below each pivot (and above it when jordan is set),
+    dividing exactly by the previous pivot.  Returns the pivot columns, the
+    last pivot and the sign of the row permutation."""
+    nrows = len(rows)
+    prev, sign, pivots = 1, 1, []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((q for q in range(r, nrows) if rows[q][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            sign = -sign
+        top = rows[r]
+        piv = top[c]
+        lo = 0 if jordan else c
+        for q in range(0 if jordan else r + 1, nrows):
+            if q != r:
+                row = rows[q]
+                f = row[c]
+                row[lo:] = [(piv * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+        prev = piv
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return pivots, prev, sign
+
+
 def _all_fractions(rows) -> bool:
     return all(type(x) is Fraction for row in rows for x in row)
 
@@ -325,9 +379,14 @@ class Matrix:
         return all(_is_zero(a) for row in self.rows for a in row)
 
     def det(self):
+        """Determinant; fraction-free in integers when every entry is a Fraction."""
         if not self.is_square():
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.nrows
+        if _all_fractions(self.rows):
+            work, den = clear_denominators(self.rows)
+            pivots, last, sign = _bareiss(work, n)
+            return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
         work = [list(row) for row in self.rows]
         det = Fraction(1)
         for c in range(n):
@@ -346,6 +405,8 @@ class Matrix:
         return det
 
     def rank(self) -> int:
+        if _all_fractions(self.rows):
+            return len(_bareiss(clear_denominators(self.rows)[0], self.ncols)[0])
         work = [list(row) for row in self.rows]
         nrows, ncols = self.nrows, self.ncols
         rank = 0
@@ -398,10 +459,18 @@ class Matrix:
         return basis
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; exact over any field of entries."""
+        """Gauss-Jordan inverse; exact over any field of entries.  Over Q, N / d
+        is inverted as d (D N^-1) / D from the fraction-free [N | I] -> [D I | D N^-1]."""
         if not self.is_square():
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
+        if _all_fractions(self.rows):
+            work, den = clear_denominators(self.rows)
+            work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(work)]
+            pivots, last, _ = _bareiss(work, n, jordan=True)
+            if len(pivots) < n:
+                raise SingularMatrixError("matrix is singular")
+            return Matrix(fractions_over(([den * x for x in row[n:]] for row in work), last))
         work = [list(row) for row in self.rows]
         out = [list(row) for row in Matrix.identity(n).rows]
         for c in range(n):

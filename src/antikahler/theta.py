@@ -13,8 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .geometry import AntiHermitianStructure, Connection, levi_civita
-from .scalars import Matrix, basis_vector
+from .geometry import AntiHermitianStructure, Connection, _planes, _tensor, levi_civita
+from .liealg import _structure_tensor
+from .scalars import Matrix, clear_denominators, contract, integer_map
 
 
 class ThetaTensor:
@@ -42,58 +43,44 @@ class ThetaTensor:
     def is_zero(self) -> bool:
         return all(x == 0 for plane in self.entries for row in plane for x in row)
 
-    def with_j_in_slot(self, j_map: Matrix, slot: int) -> "ThetaTensor":
-        """Tensor (x, y, z) -> theta(..., J arg at `slot`, ...)."""
-        n = self.dim
-        out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    idx = (i, j, k)
-                    total = Fraction(0)
-                    for m in range(n):
-                        coeff = j_map[m][idx[slot]]
-                        if coeff:
-                            sub = list(idx)
-                            sub[slot] = m
-                            total += coeff * self.entries[sub[0]][sub[1]][sub[2]]
-                    out[i][j][k] = total
-        return ThetaTensor(out)
+
+def _cyclic_lowered(s: AntiHermitianStructure, t: list, den: int,
+                    cyclic: bool = True) -> ThetaTensor:
+    """P(x, y, z) = g(v(x, y), z) or its cyclic sum, for v(e_i, e_j)_m = t[i][j][m] / den."""
+    g, dg = clear_denominators(s.g.rows)
+    n = s.dim
+    p = contract(t, g, 2)
+    if cyclic:
+        nn = n * n
+        p = [p[i * nn + j * n + k] + p[j * nn + k * n + i] + p[k * nn + i * n + j]
+             for i in range(n) for j in range(n) for k in range(n)]
+    return ThetaTensor(_planes(p, den * dg, n))
+
+
+def j_bracket_pairing(s: AntiHermitianStructure, cyclic: bool = False) -> ThetaTensor:
+    """<[Jx, y], z> on basis triples, or its cyclic sum."""
+    c, dc = _structure_tensor(s.algebra)
+    j, _, dj = integer_map(s.J)
+    return _cyclic_lowered(s, contract(c, j, 0), dc * dj, cyclic)
 
 
 def theta_bracket_form(s: AntiHermitianStructure) -> ThetaTensor:
     """Cyclic sum of <[J ., .], .> straight from the structure constants."""
-    alg, g, J = s.algebra, s.g, s.J
-    n = alg.dim
-
-    def pair(i: int, j: int, k: int) -> Fraction:
-        vec = alg.bracket(J.col(i), basis_vector(n, j))
-        return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
-
-    entries = [[[pair(i, j, k) + pair(j, k, i) + pair(k, i, j)
-                 for k in range(n)] for j in range(n)] for i in range(n)]
-    return ThetaTensor(entries)
+    return j_bracket_pairing(s, cyclic=True)
 
 
 def theta_connection_form(s: AntiHermitianStructure,
                           conn: Optional[Connection] = None) -> ThetaTensor:
-    """Cyclic sum of <D(., .), .> with D(x, y) = nabla_{Jx} y + J nabla_x y."""
+    """Cyclic sum of <D(., .), .> with D(x, y) = nabla_{Jx} y + J nabla_x y.
+
+    D(e_i, e_j) is read off the integer Christoffel numerators as
+    sum_m J_mi nabla_{e_m} e_j + J nabla_{e_i} e_j and lowered once.
+    """
     conn = conn or levi_civita(s)
-    n = s.dim
-    J, g = s.J, s.g
-    d_ops = []
-    for i in range(n):
-        ji = J.col(i)
-        nabla_ji = conn.nabla_direction(ji)
-        d_ops.append(nabla_ji + J * conn.nabla_basis(i))
-
-    def delta(i: int, j: int, k: int) -> Fraction:
-        vec = d_ops[i].col(j)
-        return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
-
-    entries = [[[delta(i, j, k) + delta(j, k, i) + delta(k, i, j)
-                 for k in range(n)] for j in range(n)] for i in range(n)]
-    return ThetaTensor(entries)
+    gamma, d = _tensor(conn.operators)
+    j, jt, dj = integer_map(s.J)
+    d_ij = [a + b for a, b in zip(contract(gamma, j, 0), contract(gamma, jt, 2))]
+    return _cyclic_lowered(s, d_ij, d * dj)
 
 
 def theta_is_skew(theta: ThetaTensor) -> bool:
@@ -110,8 +97,11 @@ def theta_is_skew(theta: ThetaTensor) -> bool:
 
 def theta_is_pure(theta: ThetaTensor, j_map: Matrix) -> bool:
     """theta(Jx, y, z) = theta(x, Jy, z) = theta(x, y, Jz) on the basis."""
-    t0 = theta.with_j_in_slot(j_map, 0)
-    return t0 == theta.with_j_in_slot(j_map, 1) and t0 == theta.with_j_in_slot(j_map, 2)
+    rows, _ = clear_denominators(row for plane in theta.entries for row in plane)
+    t = [x for row in rows for x in row]
+    j, _, _ = integer_map(j_map)
+    t0 = contract(t, j, 0)
+    return t0 == contract(t, j, 1) and t0 == contract(t, j, 2)
 
 
 def anti_kahler_via_theta(s: AntiHermitianStructure) -> bool:
@@ -120,27 +110,23 @@ def anti_kahler_via_theta(s: AntiHermitianStructure) -> bool:
     return theta_is_skew(theta) and theta_is_pure(theta, s.J)
 
 
+def tensor_ratio(top: ThetaTensor, bottom: ThetaTensor) -> Optional[Fraction]:
+    """Constant c with top = c * bottom entrywise, or None when both vanish.
+
+    Raises ArithmeticError when the tensors are not proportional.
+    """
+    pairs = [(t, b) for t_plane, b_plane in zip(top.entries, bottom.entries)
+             for t_row, b_row in zip(t_plane, b_plane) for t, b in zip(t_row, b_row)]
+    ratios = {t / b for t, b in pairs if b}
+    if len(ratios) > 1 or any(t for t, b in pairs if not b):
+        raise ArithmeticError("theta forms are not proportional")
+    return ratios.pop() if ratios else None
+
+
 def theta_form_ratio(s: AntiHermitianStructure) -> Optional[Fraction]:
     """Measured constant c with connection form = c * bracket form.
 
     Returns None when both tables vanish; raises if the tables are not
     proportional (they always are, the ratio is measured rather than assumed).
     """
-    bracket = theta_bracket_form(s)
-    conn = theta_connection_form(s)
-    n = s.dim
-    ratio = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                b, c = bracket(i, j, k), conn(i, j, k)
-                if b == 0:
-                    if c != 0:
-                        raise ArithmeticError("theta forms are not proportional")
-                    continue
-                r = c / b
-                if ratio is None:
-                    ratio = r
-                elif ratio != r:
-                    raise ArithmeticError("theta forms are not proportional")
-    return ratio
+    return tensor_ratio(theta_connection_form(s), theta_bracket_form(s))

@@ -35,6 +35,7 @@ from .classify4 import (
 )
 from .geometry import (
     AntiHermitianStructure,
+    _complex_basis,
     abelian_j_connection,
     complexify,
     curvature,
@@ -59,7 +60,12 @@ from .geometry import (
 )
 from .liealg import LieAlgebra, is_abelian_j, is_bi_invariant_j, nijenhuis_is_zero
 from .scalars import GaussianRational, Matrix, basis_vector, signature
-from .theta import anti_kahler_via_theta, theta_bracket_form
+from .theta import (
+    anti_kahler_via_theta,
+    j_bracket_pairing,
+    tensor_ratio,
+    theta_bracket_form,
+)
 
 
 class UnknownSuiteError(KeyError):
@@ -141,18 +147,21 @@ def random_anti_hermitian_metric(algebra: LieAlgebra, j_map: Matrix,
                                  max_tries: int = 200) -> AntiHermitianStructure:
     """Random valid anti-Hermitian metric adapted to J.
 
-    Draws a random nondegenerate C-symmetric bilinear form on the J-complex
-    space and takes its real part, which is automatically symmetric with J
-    as an anti-isometry.
+    Draws a random nondegenerate C-symmetric bilinear form S = X + iY on the
+    J-complex space and takes the real part of C S C^T, where C = A + iB
+    holds the complex coordinates of the basis vectors:
+    g = (AX - BY) A^T - (AY + BX) B^T is symmetric with J an anti-isometry.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) \
         else random.Random(seed_or_rng)
     n = algebra.dim
     m = n // 2
-    basis = _complex_basis_of(j_map)
+    basis = _complex_basis(j_map)
     frame = Matrix.from_cols(
         [v for f in basis for v in (f, j_map.apply(f))])
-    frame_inv = frame.inverse()
+    coords = frame.inverse().rows
+    a = Matrix(coords[0::2]).transpose()
+    b = Matrix(coords[1::2]).transpose()
     for _ in range(max_tries):
         gram = [[None] * m for _ in range(m)]
         for p in range(m):
@@ -163,43 +172,12 @@ def random_anti_hermitian_metric(algebra: LieAlgebra, j_map: Matrix,
         s_matrix = Matrix(gram)
         if not _float_det_nonzero(s_matrix) or s_matrix.det() == 0:
             continue
-        coords = []
-        for i in range(n):
-            raw = frame_inv.col(i)
-            coords.append(tuple(GaussianRational(raw[2 * p], raw[2 * p + 1])
-                                for p in range(m)))
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                total = GaussianRational(Fraction(0))
-                for p in range(m):
-                    if coords[i][p].is_zero():
-                        continue
-                    for q in range(m):
-                        term = coords[i][p] * coords[j][q] * gram[p][q]
-                        total = total + term
-                row.append(total.re)
-            rows.append(row)
-        g = Matrix(rows)
+        x = s_matrix.map(lambda z: z.re)
+        y = s_matrix.map(lambda z: z.im)
+        g = (a * x - b * y) * a.transpose() - (a * y + b * x) * b.transpose()
         if _float_det_nonzero(g) and g.det() != 0:
             return AntiHermitianStructure(algebra, g, j_map)
     raise RuntimeError("exhausted retries generating a nondegenerate metric")
-
-
-def _complex_basis_of(j_map: Matrix) -> list:
-    n = j_map.nrows
-    chosen = []
-    spanning = []
-    for i in range(n):
-        cand = basis_vector(n, i)
-        trial = spanning + [cand, j_map.apply(cand)]
-        if Matrix(trial).rank() == len(trial):
-            chosen.append(cand)
-            spanning = trial
-            if len(spanning) == n:
-                break
-    return chosen
 
 
 def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStructure:
@@ -213,7 +191,7 @@ def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStruct
             j = random_complex_structure(rng, 4, bound)
             return random_anti_hermitian_metric(algebra, j, rng, bound)
         if kind == 1:
-            a, b = _nonzero_pair(rng, bound)
+            a, b = _nonzero_tuple(rng, bound, 2)
             return make_family_case1(a, b, rng.choice((1, -1)))
         if kind == 2:
             return make_family_case2(*_nonzero_tuple(rng, bound, 4))
@@ -261,13 +239,6 @@ def _n7_metric_variant(n7: AntiHermitianStructure, rng: random.Random,
         if _float_det_nonzero(g) and g.det() != 0:
             return AntiHermitianStructure(n7.algebra, g, n7.J)
     return n7
-
-
-def _nonzero_pair(rng: random.Random, bound: int) -> tuple:
-    while True:
-        a, b = random_rational(rng, bound), random_rational(rng, bound)
-        if a != 0 or b != 0:
-            return a, b
 
 
 def _nonzero_tuple(rng: random.Random, bound: int, size: int) -> tuple:
@@ -591,26 +562,10 @@ def _suite_theta(config: GeneratorConfig, report: SuiteReport):
 
 def _theta_is_bracket_multiple(s: AntiHermitianStructure) -> bool:
     """For bi-invariant g and J, theta is a pointwise multiple of <[Jx,y],z>."""
-    theta = theta_bracket_form(s)
-    alg, g, j = s.algebra, s.g, s.J
-    n = alg.dim
-    ratio = None
-    for i in range(n):
-        for jdx in range(n):
-            vec = alg.bracket(j.col(i), basis_vector(n, jdx))
-            for k in range(n):
-                base = sum((vec[m] * g[m][k] for m in range(n)), Fraction(0))
-                value = theta(i, jdx, k)
-                if base == 0:
-                    if value != 0:
-                        return False
-                    continue
-                r = value / base
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    return False
-    return ratio is not None
+    try:
+        return tensor_ratio(theta_bracket_form(s), j_bracket_pairing(s)) is not None
+    except ArithmeticError:
+        return False
 
 
 def _suite_classification(config: GeneratorConfig, report: SuiteReport):
@@ -620,7 +575,7 @@ def _suite_classification(config: GeneratorConfig, report: SuiteReport):
     aff_target = aff_c_real()
     for index in range(max(4, config.samples // 2)):
         rng = sample_rng(config4, 40_000 + index)
-        a, b = _nonzero_pair(rng, config.coefficient_bound)
+        a, b = _nonzero_tuple(rng, config.coefficient_bound, 2)
         eps = rng.choice((1, -1))
         s = make_family_case1(a, b, eps)
         rep = classify(s)

@@ -1,0 +1,405 @@
+"""The integer J-contraction kernels against the Fraction implementations
+they replaced, which are kept here as the reference.
+
+Inputs are seeded stream structures (anti-Kahler and generic, dims 4 and
+6), optionally after a random rational basis change, so that J and the
+structure constants are dense.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from antikahler import catalog
+from antikahler.classify4 import aff_c_real, r_minus_one_minus_one, transform_structure
+from antikahler.geometry import (
+    AntiHermitianStructure,
+    _complex_basis,
+    curvature,
+    curvature_is_pure,
+    curvature_j_anticommutes,
+    epsilon_parallel_holds,
+    is_anti_kahler,
+    levi_civita,
+    nabla_j_operators,
+    satisfies_abelian_connection_rule,
+    satisfies_bi_invariant_connection_rule,
+)
+from antikahler.liealg import (
+    LieAlgebra,
+    is_abelian_j,
+    is_anti_abelian_j,
+    is_bi_invariant_j,
+    nijenhuis,
+    nijenhuis_is_zero,
+)
+from antikahler.scalars import GaussianRational, Matrix, basis_vector
+from antikahler.theta import (
+    ThetaTensor,
+    anti_kahler_via_theta,
+    theta_bracket_form,
+    theta_connection_form,
+    theta_is_pure,
+    theta_is_skew,
+)
+from antikahler.verifier import (
+    GeneratorConfig,
+    _float_det_nonzero,
+    random_anti_hermitian_metric,
+    random_complex_structure,
+    random_gaussian_rational,
+    random_invertible_matrix,
+    random_structure,
+)
+
+# ---------------------------------------------------------------------------
+# reference implementations, one Fraction operation per entry
+
+
+def ref_curvature_is_pure(s):
+    r = curvature(s)
+    n = s.dim
+    J = s.J
+
+    def slot(i, j, k, l, which):
+        total = Fraction(0)
+        for m in range(n):
+            idx = [i, j, k, l]
+            coeff = J[m][idx[which]]
+            if coeff:
+                idx[which] = m
+                total += coeff * r.lowered(*idx)
+        return total
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                for l in range(n):
+                    t0 = slot(i, j, k, l, 0)
+                    if (slot(i, j, k, l, 1) != t0 or slot(i, j, k, l, 2) != t0
+                            or slot(i, j, k, l, 3) != t0):
+                        return False
+    return True
+
+
+def ref_curvature_j_anticommutes(s):
+    r = curvature(s)
+    n = s.dim
+    J = s.J
+    for i in range(n):
+        for j in range(i + 1, n):
+            acc = Matrix.zeros(n, n)
+            for m in range(n):
+                if not J[m][i]:
+                    continue
+                for p in range(n):
+                    coeff = J[m][i] * J[p][j]
+                    if coeff:
+                        acc = acc + coeff * r.op(m, p)
+            if acc != -r.op(i, j):
+                return False
+    return True
+
+
+def ref_theta_bracket_form(s):
+    alg, g, J = s.algebra, s.g, s.J
+    n = alg.dim
+
+    def pair(i, j, k):
+        vec = alg.bracket(J.col(i), basis_vector(n, j))
+        return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
+
+    return ThetaTensor([[[pair(i, j, k) + pair(j, k, i) + pair(k, i, j)
+                          for k in range(n)] for j in range(n)] for i in range(n)])
+
+
+def ref_theta_connection_form(s):
+    conn = levi_civita(s)
+    n = s.dim
+    J, g = s.J, s.g
+    d_ops = [conn.nabla_direction(J.col(i)) + J * conn.nabla_basis(i) for i in range(n)]
+
+    def delta(i, j, k):
+        vec = d_ops[i].col(j)
+        return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
+
+    return ThetaTensor([[[delta(i, j, k) + delta(j, k, i) + delta(k, i, j)
+                          for k in range(n)] for j in range(n)] for i in range(n)])
+
+
+def ref_with_j_in_slot(theta, j_map, slot):
+    n = theta.dim
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                idx = (i, j, k)
+                total = Fraction(0)
+                for m in range(n):
+                    coeff = j_map[m][idx[slot]]
+                    if coeff:
+                        sub = list(idx)
+                        sub[slot] = m
+                        total += coeff * theta.entries[sub[0]][sub[1]][sub[2]]
+                out[i][j][k] = total
+    return ThetaTensor(out)
+
+
+def ref_theta_is_pure(theta, j_map):
+    t0 = ref_with_j_in_slot(theta, j_map, 0)
+    return (t0 == ref_with_j_in_slot(theta, j_map, 1)
+            and t0 == ref_with_j_in_slot(theta, j_map, 2))
+
+
+def ref_nijenhuis(algebra, j_map):
+    n = algebra.dim
+    table = []
+    for i in range(n):
+        row = []
+        ji = j_map.col(i)
+        for j in range(n):
+            jj = j_map.col(j)
+            term1 = algebra.bracket(ji, jj)
+            term2 = j_map.apply(algebra.bracket(ji, basis_vector(n, j)))
+            term3 = j_map.apply(algebra.bracket(basis_vector(n, i), jj))
+            term4 = algebra.bracket_basis(i, j)
+            row.append(tuple(term1[k] - term2[k] - term3[k] - term4[k] for k in range(n)))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def ref_is_abelian_j(algebra, j_map, sign=1):
+    n = algebra.dim
+    return all(algebra.bracket(j_map.col(i), j_map.col(j))
+               == tuple(sign * x for x in algebra.bracket_basis(i, j))
+               for i in range(n) for j in range(i + 1, n))
+
+
+def ref_is_bi_invariant_j(algebra, j_map):
+    n = algebra.dim
+    return all(algebra.bracket(j_map.col(i), basis_vector(n, j))
+               == j_map.apply(algebra.bracket_basis(i, j))
+               for i in range(n) for j in range(n))
+
+
+def ref_killing_form(algebra):
+    n = algebra.dim
+    ads = [algebra.ad_basis(i) for i in range(n)]
+    return Matrix([[sum(((ads[i] * ads[j])[k][k] for k in range(n)), Fraction(0))
+                    for j in range(n)] for i in range(n)])
+
+
+def ref_j_direction_rule(s, sign):
+    conn = levi_civita(s)
+    return all(conn.nabla_direction(s.J.col(i)) == Fraction(sign) * (s.J * conn.nabla_basis(i))
+               for i in range(s.dim))
+
+
+def ref_epsilon_parallel_holds(s, eps):
+    ops = nabla_j_operators(s)
+    n = s.dim
+    for i in range(n):
+        ji = s.J.col(i)
+        lhs = Matrix.zeros(n, n)
+        for m in range(n):
+            if ji[m]:
+                lhs = lhs + ji[m] * ops[m]
+        if lhs != Fraction(eps) * (s.J * ops[i]):
+            return False
+    return True
+
+
+def ref_random_metric(algebra, j_map, rng, bound=4, max_tries=200):
+    """The generator's metric assembly as a GaussianRational triple loop."""
+    n = algebra.dim
+    m = n // 2
+    basis = _complex_basis(j_map)
+    frame = Matrix.from_cols([v for f in basis for v in (f, j_map.apply(f))])
+    frame_inv = frame.inverse()
+    for _ in range(max_tries):
+        gram = [[None] * m for _ in range(m)]
+        for p in range(m):
+            for q in range(p, m):
+                z = random_gaussian_rational(rng, bound)
+                gram[p][q] = gram[q][p] = z
+        s_matrix = Matrix(gram)
+        if not _float_det_nonzero(s_matrix) or s_matrix.det() == 0:
+            continue
+        coords = [tuple(GaussianRational(frame_inv.col(i)[2 * p], frame_inv.col(i)[2 * p + 1])
+                        for p in range(m)) for i in range(n)]
+        rows = []
+        for i in range(n):
+            row = []
+            for j in range(n):
+                total = GaussianRational(Fraction(0))
+                for p in range(m):
+                    if coords[i][p].is_zero():
+                        continue
+                    for q in range(m):
+                        total = total + coords[i][p] * coords[j][q] * gram[p][q]
+                row.append(total.re)
+            rows.append(row)
+        g = Matrix(rows)
+        if _float_det_nonzero(g) and g.det() != 0:
+            return AntiHermitianStructure(algebra, g, j_map)
+    raise RuntimeError("exhausted retries")
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@st.composite
+def structures(draw, dims=(4, 4, 4, 6)):
+    """A stream structure, after a random basis change half of the time.
+
+    Stream kinds 4 and 5 are generic, the others anti-Kahler; they are
+    listed first so that generic inputs are drawn as often.
+    """
+    dim = draw(st.sampled_from(dims))
+    config = GeneratorConfig(master_seed=draw(st.integers(0, 10**6)), dim=dim)
+    s = random_structure(config, draw(st.sampled_from((4, 5, 10, 11, 0, 1, 2, 3, 6, 7))))
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10**6)))
+        s = transform_structure(s, random_invertible_matrix(rng, dim, 2))
+    return s
+
+
+@st.composite
+def algebras_with_j(draw):
+    """A catalog or dim-4 algebra with a random complex structure."""
+    algebra = draw(st.sampled_from((
+        r_minus_one_minus_one(), aff_c_real(), LieAlgebra.abelian(4),
+        catalog.get("n7_J-1").structure.algebra,
+        catalog.get("sl2c_killing").structure.algebra,
+        LieAlgebra.from_brackets(4, {(0, 1): {2: 1}}))))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    return algebra, random_complex_structure(rng, algebra.dim, 2)
+
+
+SPECIAL = [catalog.get(name).structure for name in catalog.list_names()]
+
+
+def j_cases():
+    """Catalog structures with their own J: abelian, bi-invariant and others."""
+    return [(s.algebra, s.J) for s in SPECIAL]
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestCurvatureContractions:
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_purity(self, s):
+        assert curvature_is_pure(s) == ref_curvature_is_pure(s)
+
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_j_anticommutes(self, s):
+        assert curvature_j_anticommutes(s) == ref_curvature_j_anticommutes(s)
+
+    def test_catalog(self):
+        for s in SPECIAL:
+            assert curvature_is_pure(s) == ref_curvature_is_pure(s)
+            assert curvature_j_anticommutes(s) == ref_curvature_j_anticommutes(s)
+
+    def test_check_builds_no_fraction_operators(self):
+        s = random_structure(GeneratorConfig(dim=6), 3)
+        curvature_is_pure(s)
+        curvature_j_anticommutes(s)
+        assert curvature(s)._fraction_ops is None
+        assert curvature(s).op(0, 1) == curvature(s)._ops[(0, 1)]
+
+
+class TestThetaContractions:
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_forms_match(self, s):
+        conn_form, bracket_form = theta_connection_form(s), theta_bracket_form(s)
+        assert conn_form == ref_theta_connection_form(s)
+        assert bracket_form == ref_theta_bracket_form(s)
+        assert all(type(x) is Fraction for form in (conn_form, bracket_form)
+                   for plane in form.entries for row in plane for x in row)
+
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_skew_and_pure(self, s):
+        theta = theta_connection_form(s)
+        assert theta_is_pure(theta, s.J) == ref_theta_is_pure(theta, s.J)
+        assert anti_kahler_via_theta(s) == (theta_is_skew(theta)
+                                            and ref_theta_is_pure(theta, s.J))
+
+    def test_pure_on_a_non_skew_tensor(self):
+        s = catalog.get("sl2c_killing").structure
+        rng = random.Random(7)
+        entries = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)]
+                    for _ in range(6)] for _ in range(6)]
+        theta = ThetaTensor(entries)
+        assert theta_is_pure(theta, s.J) == ref_theta_is_pure(theta, s.J)
+        zero = ThetaTensor([[[Fraction(0)] * 6] * 6] * 6)
+        assert theta_is_pure(zero, s.J) and theta_is_skew(zero)
+
+
+class TestLieContractions:
+    @given(algebras_with_j())
+    @settings(max_examples=60, deadline=None)
+    def test_nijenhuis_and_j_tests(self, case):
+        algebra, j = case
+        self.assert_matches(algebra, j)
+
+    def test_catalog(self):
+        for algebra, j in j_cases():
+            self.assert_matches(algebra, j)
+
+    @staticmethod
+    def assert_matches(algebra, j):
+        table = nijenhuis(algebra, j)
+        want = ref_nijenhuis(algebra, j)
+        assert table == want
+        assert all(type(x) is Fraction for row in table for vec in row for x in vec)
+        assert nijenhuis_is_zero(algebra, j) == all(not any(v) for row in want for v in row)
+        assert is_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j)
+        assert is_anti_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j, sign=-1)
+        assert is_bi_invariant_j(algebra, j) == ref_is_bi_invariant_j(algebra, j)
+
+    @given(structures(dims=(4, 6)))
+    @settings(max_examples=40, deadline=None)
+    def test_killing_form(self, s):
+        got = s.algebra.killing_form()
+        want = ref_killing_form(s.algebra)
+        assert got == want
+        assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+class TestConnectionContractions:
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_direction_rules_and_epsilon(self, s):
+        assert is_anti_kahler(s) == all(op.is_zero() for op in nabla_j_operators(s))
+        assert satisfies_abelian_connection_rule(s) == ref_j_direction_rule(s, -1)
+        assert satisfies_bi_invariant_connection_rule(s) == ref_j_direction_rule(s, 1)
+        for eps in (1, -1):
+            assert epsilon_parallel_holds(s, eps) == ref_epsilon_parallel_holds(s, eps)
+
+
+class TestGeneratorAssembly:
+    @given(st.integers(0, 10**6), st.sampled_from((4, 6)))
+    @settings(max_examples=30, deadline=None)
+    def test_metric_matches_triple_loop(self, seed, dim):
+        rng = random.Random(seed)
+        algebra = LieAlgebra.abelian(dim)
+        j = random_complex_structure(rng, dim, 3)
+        state = random.Random(seed + 1).getstate()
+        got_rng, want_rng = random.Random(), random.Random()
+        got_rng.setstate(state)
+        want_rng.setstate(state)
+        got = random_anti_hermitian_metric(algebra, j, got_rng, 3)
+        want = ref_random_metric(algebra, j, want_rng, 3)
+        assert got.g == want.g
+        assert [str(x) for row in got.g.rows for x in row] == \
+            [str(x) for row in want.g.rows for x in row]
+        assert got_rng.getstate() == want_rng.getstate()

@@ -19,7 +19,7 @@ from antikahler.liealg import (
     nijenhuis,
     nijenhuis_is_zero,
 )
-from antikahler.scalars import Matrix, signature
+from antikahler.scalars import DimensionMismatchError, Matrix, signature
 
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
@@ -39,6 +39,14 @@ class TestConstruction:
         # [e1,e2]=e3, [e1,e3]=e1 fails Jacobi on the triple (e1,e2,e3)
         with pytest.raises(JacobiViolation):
             LieAlgebra.from_brackets(3, {(0, 1): {2: 1}, (0, 2): {0: 1}})
+
+    @pytest.mark.parametrize("component", [-1, 3, 5])
+    def test_bracket_component_out_of_range(self, component):
+        # a negative index would otherwise wrap around to the last basis vector
+        with pytest.raises(DimensionMismatchError):
+            LieAlgebra.from_brackets(3, {(0, 1): {component: 1}})
+        with pytest.raises(DimensionMismatchError):
+            jacobi_residual(3, {(0, 1): {component: 1}})
 
     def test_jacobi_residual_value(self):
         # hand expansion: [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = -e3

@@ -343,3 +343,149 @@ class TestFractionFreeProduct:
         for p in range(2, 50):
             if den % p == 0:
                 assert any(x % p for row in ints for x in row)
+
+
+def reference_det(rows):
+    """Gauss elimination over the entries' field, as Matrix.det did before the
+    fraction-free kernel."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    det = Fraction(1)
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0) * det
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            det = -det
+        pivot = work[c][c]
+        det = det * pivot
+        for r in range(c + 1, n):
+            if work[r][c] != 0:
+                factor = work[r][c] / pivot
+                work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
+    return det
+
+
+def reference_rank(rows):
+    work = [list(row) for row in rows]
+    nrows, ncols = len(rows), len(rows[0])
+    rank = 0
+    for c in range(ncols):
+        pivot_row = next((r for r in range(rank, nrows) if work[r][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[rank], work[pivot_row] = work[pivot_row], work[rank]
+        pivot = work[rank][c]
+        for r in range(nrows):
+            if r != rank and work[r][c] != 0:
+                factor = work[r][c] / pivot
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def reference_inverse(rows):
+    """Gauss-Jordan inverse over the entries' field; None when singular."""
+    n = len(rows)
+    work = [list(row) for row in rows]
+    out = [list(row) for row in Matrix.identity(n).rows]
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if work[r][c] != 0), None)
+        if pivot_row is None:
+            return None
+        if pivot_row != c:
+            work[c], work[pivot_row] = work[pivot_row], work[c]
+            out[c], out[pivot_row] = out[pivot_row], out[c]
+        pivot = work[c][c]
+        work[c] = [a / pivot for a in work[c]]
+        out[c] = [a / pivot for a in out[c]]
+        for r in range(n):
+            if r != c and work[r][c] != 0:
+                factor = work[r][c]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
+                out[r] = [a - factor * b for a, b in zip(out[r], out[c])]
+    return out
+
+
+@st.composite
+def elimination_operands(draw, entries=rational_entries, square=None):
+    """Matrices with zero rows, dependent rows and huge denominators drawn often."""
+    nrows = draw(st.integers(1, 6))
+    is_square = draw(st.booleans()) if square is None else square
+    ncols = nrows if is_square else draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    shape = draw(st.sampled_from(("free", "zero_row", "dependent")))
+    if shape == "zero_row":
+        rows[draw(st.integers(0, nrows - 1))] = [Fraction(0)] * ncols
+    elif shape == "dependent" and nrows > 1:
+        a, b = draw(small_fractions), draw(small_fractions)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % (nrows - 1)])]
+    return rows
+
+
+def assert_same_matrix(got: Matrix, want_rows):
+    assert (got.nrows, got.ncols) == (len(want_rows), len(want_rows[0]))
+    for got_row, want_row in zip(got.rows, want_rows):
+        for got_x, want_x in zip(got_row, want_row):
+            assert_same_scalar(got_x, want_x)
+
+
+class TestFractionFreeElimination:
+    @given(elimination_operands())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_field_elimination(self, rows):
+        m = Matrix(rows)
+        assert m.rank() == reference_rank(rows)
+        if not m.is_square():
+            return
+        assert_same_scalar(m.det(), reference_det(rows))
+        want = reference_inverse(rows)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert_same_matrix(m.inverse(), want)
+
+    def test_singular_rectangular_and_zero(self):
+        assert Matrix.zeros(3, 5).rank() == 0
+        assert_same_scalar(Matrix.zeros(4, 4).det(), Fraction(0))
+        wide = Matrix([[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 1]]).map(Fraction)
+        assert wide.rank() == 2 == wide.transpose().rank()
+        singular = Matrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]]).map(Fraction)
+        assert_same_scalar(singular.det(), Fraction(0))
+        with pytest.raises(SingularMatrixError):
+            singular.inverse()
+
+    def test_huge_denominators(self):
+        big = Fraction(1, 2**80)
+        rows = [[big, Fraction(3, 2**80 + 1), Fraction(0)],
+                [Fraction(0), Fraction(-7, 3), big],
+                [Fraction(2**80), Fraction(0), Fraction(5, 2**79)]]
+        m = Matrix(rows)
+        assert_same_scalar(m.det(), reference_det(rows))
+        assert_same_matrix(m.inverse(), reference_inverse(rows))
+        assert m * m.inverse() == Matrix.identity(3)
+
+    @given(elimination_operands(entries=mixed_entries))
+    @settings(max_examples=100, deadline=None)
+    def test_gaussian_and_mixed_keep_the_field_path(self, rows):
+        m = Matrix(rows)
+        assert m.rank() == reference_rank(rows)
+        if not m.is_square():
+            return
+        assert_same_scalar(m.det(), reference_det(rows))
+        want = reference_inverse(rows)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert_same_matrix(m.inverse(), want)
+
+    def test_integer_entries_keep_the_field_path(self):
+        m = Matrix([[2, 1], [1, 1]])
+        assert_same_scalar(m.det(), reference_det(m.rows))
+        assert_same_matrix(m.inverse(), reference_inverse(m.rows))
