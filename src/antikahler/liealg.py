@@ -12,6 +12,7 @@ chosen basis.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -48,6 +49,7 @@ def _as_vector(dim: int, value) -> tuple:
     if isinstance(value, Mapping):
         vec = [Fraction(0)] * dim
         for k, coeff in value.items():
+            k = operator.index(k)
             if not 0 <= k < dim:
                 raise DimensionMismatchError(
                     f"bracket component index {k} out of range for dim {dim}")
@@ -118,6 +120,7 @@ class LieAlgebra:
         vectors (or {index: coeff} mappings) of [e_i, e_j]."""
         table = {}
         for (i, j), value in brackets.items():
+            i, j = operator.index(i), operator.index(j)
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError(f"basis index out of range: {(i, j)}")
             if i >= j:
@@ -196,11 +199,8 @@ class LieAlgebra:
             c, den = _structure_tensor(self)
             blocks = [c[a * n * n:(a + 1) * n * n] for a in range(n)]
             flipped = [[b[l * n + k] for k in range(n) for l in range(n)] for b in blocks]
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                terms = [(p, x) for p, x in enumerate(blocks[i]) if x]
-                for j in range(i, n):
-                    rows[i][j] = rows[j][i] = sum(x * flipped[j][p] for p, x in terms)
+            rows = [[sum(x * y for x, y in zip(blocks[i], flipped[j]) if x) for j in range(n)]
+                    for i in range(n)]
             object.__setattr__(self, "_killing", Matrix(fractions_over(rows, den * den)))
         return self._killing
 

@@ -48,6 +48,15 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             jacobi_residual(3, {(0, 1): {component: 1}})
 
+    def test_non_integer_indices(self):
+        # integer-valued keys are normalized, so every kernel can index with them
+        alg = LieAlgebra.from_brackets(3, {(True, 2): {0: 1}})
+        assert alg.nonzero_brackets() == {(1, 2): (1, 0, 0)}
+        with pytest.raises(TypeError):
+            LieAlgebra.from_brackets(3, {(0.0, 1): (0, 0, 1)})
+        with pytest.raises(TypeError):
+            LieAlgebra.from_brackets(3, {(0, 1): {1.0: 1}})
+
     def test_jacobi_residual_value(self):
         # hand expansion: [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = -e3
         residual = jacobi_residual(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
