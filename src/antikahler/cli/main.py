@@ -10,6 +10,7 @@ input, verify with failing assertions), 2 input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -81,20 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main() builds its parser on the first call and reuses it after that.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "curvature":
-            return _cmd_curvature(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "catalog":
-            return _cmd_catalog(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except (StructureSyntaxError, StructureFileError) as exc:
         _emit_error(args, getattr(exc, "code", "SyntaxError"),
                     getattr(exc, "line", 0), str(exc))
@@ -105,8 +100,6 @@ def main(argv: Optional[list] = None) -> int:
     except UnicodeDecodeError as exc:
         _emit_error(args, "EncodingError", 0, f"input is not UTF-8 text: {exc}")
         return 2
-    parser.error(f"unknown command {args.command}")
-    return 2
 
 
 def _emit_error(args, code: str, line: int, message: str):
@@ -129,6 +122,11 @@ def _emit(args, document: dict, human_lines: list):
     else:
         for line in human_lines:
             print(line)
+
+
+def _terms(texts) -> str:
+    """'c e1 + c e2 ...' over the nonzero coefficient strings, or ''."""
+    return " + ".join(f"{t} e{k + 1}" for k, t in enumerate(texts) if t != "0")
 
 
 def _flag(value: bool) -> str:
@@ -158,6 +156,7 @@ def _cmd_check(args) -> int:
         return 0
     s = obj
     einstein, lam = is_einstein(s)
+    sig = signature(s.g)
     predicates = {
         "anti_hermitian": True,
         "abelian_complex_structure": is_abelian_j(s.algebra, s.J),
@@ -179,12 +178,12 @@ def _cmd_check(args) -> int:
         "valid": True,
         "dim": s.dim,
         "structure": "anti_hermitian",
-        "signature": list(signature(s.g)),
+        "signature": list(sig),
         "predicates": predicates,
         "einstein_constant": format_rational(lam) if einstein else None,
     }
     human = [f"valid anti-Hermitian structure, dim {s.dim}",
-             f"signature: {signature(s.g)}"]
+             f"signature: {sig}"]
     human += [f"{key}: {_flag(val)}" for key, val in predicates.items()]
     if einstein:
         human.append(f"einstein_constant: {format_rational(lam)}")
@@ -205,42 +204,33 @@ def _cmd_curvature(args) -> int:
     n = s.dim
     gamma = [[[format_rational(x) for x in col] for col in zip(*op.rows)]
              for op in conn.operators]
-    riemann = [[[[format_rational(x) for x in col] for col in zip(*r.op(i, j).rows)]
-                 for j in range(n)] for i in range(n)]
-    doc = {
-        "command": "curvature",
-        "dim": n,
-        "gamma": gamma,
-        "riemann": riemann,
-        "ricci": [[format_rational(rc[i][j]) for j in range(n)] for i in range(n)],
-        "ricci_operator": [[format_rational(ric[i][j]) for j in range(n)]
-                           for i in range(n)],
-    }
-    human = []
+    riemann = r.component_texts()
+    ricci_rows = [[format_rational(x) for x in row] for row in rc.rows]
+    if args.output == "machine":
+        print(json.dumps({
+            "command": "curvature",
+            "dim": n,
+            "gamma": gamma,
+            "riemann": riemann,
+            "ricci": ricci_rows,
+            "ricci_operator": [[format_rational(x) for x in row] for row in ric.rows],
+        }, indent=2, sort_keys=True))
+        return 0
     for i in range(n):
         for j in range(n):
-            col = conn.nabla_basis(i).col(j)
-            terms = [f"{format_rational(col[k])} e{k + 1}"
-                     for k in range(n) if col[k]]
-            if terms:
-                human.append(f"nabla e{i + 1} e{j + 1} = " + " + ".join(terms))
+            if terms := _terms(gamma[i][j]):
+                print(f"nabla e{i + 1} e{j + 1} = {terms}")
     flat = r.is_zero()
-    human.append(f"flat: {_flag(flat)}")
+    print(f"flat: {_flag(flat)}")
     if not flat:
         for i in range(n):
             for j in range(i + 1, n):
-                op = r.op(i, j)
                 for k in range(n):
-                    col = op.col(k)
-                    terms = [f"{format_rational(col[l])} e{l + 1}"
-                             for l in range(n) if col[l]]
-                    if terms:
-                        human.append(
-                            f"R(e{i + 1}, e{j + 1}) e{k + 1} = " + " + ".join(terms))
-    human.append("ricci:")
-    for i in range(n):
-        human.append("  " + " ".join(format_rational(rc[i][j]) for j in range(n)))
-    _emit(args, doc, human)
+                    if terms := _terms(riemann[i][j][k]):
+                        print(f"R(e{i + 1}, e{j + 1}) e{k + 1} = {terms}")
+    print("ricci:")
+    for row in ricci_rows:
+        print("  " + " ".join(row))
     return 0
 
 
@@ -344,6 +334,15 @@ def _cmd_verify(args) -> int:
     else:
         sys.stdout.write(report.to_text())
     return 0 if report.passed else 1
+
+
+_COMMANDS = {
+    "check": _cmd_check,
+    "curvature": _cmd_curvature,
+    "classify": _cmd_classify,
+    "catalog": _cmd_catalog,
+    "verify": _cmd_verify,
+}
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .scalars import (
     basis_vector,
     clear_denominators,
     contract,
+    format_quotient,
     fractions_over,
     int_matmul,
     integer_map,
@@ -202,8 +203,8 @@ class CurvatureTensor:
     """R(e_i, e_j) as operators for i < j, with the g-lowered form available.
 
     The operators are kept as integer numerators over one shared denominator,
-    read by the Ricci trace and the J tests; op, component and lowered build
-    their Fraction form on first use.
+    read by the Ricci trace, the J tests and component_texts; op, component
+    and lowered build their Fraction form on first use.
     """
 
     __slots__ = ("dim", "g", "_fraction_ops", "_numerators", "_den")
@@ -254,6 +255,24 @@ class CurvatureTensor:
 
     def is_zero(self) -> bool:
         return not any(x for rows in self._numerators.values() for row in rows for x in row)
+
+    def component_texts(self) -> list:
+        """Every R^l_{ijk} as its exact rational string, out[i][j][k][l].
+
+        Formatted from the integer numerators, one gcd per nonzero entry of
+        the i < j blocks; the i > j blocks are those strings negated and the
+        i = j blocks are "0".
+        """
+        n, den = self.dim, self._den
+        out = [[None] * n for _ in range(n)]
+        for i in range(n):
+            out[i][i] = [["0"] * n for _ in range(n)]
+        for (i, j), rows in self._numerators.items():
+            block = [[format_quotient(x, den) for x in col] for col in zip(*rows)]
+            out[i][j] = block
+            out[j][i] = [[t if t == "0" else t[1:] if t[0] == "-" else "-" + t for t in col]
+                         for col in block]
+        return out
 
     def _flat(self) -> list:
         """Numerators as one flat tensor T[i][j][l][k] = R(e_i, e_j)[l][k], all i, j."""

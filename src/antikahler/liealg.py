@@ -23,6 +23,7 @@ from .scalars import (
     clear_denominators,
     contract,
     fractions_over,
+    int_matmul,
     integer_map,
 )
 
@@ -247,11 +248,21 @@ def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
 
 
 def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
-    """C and J as integers: (C, dc, J, J^T, dj) with C = C/dc, J = J/dj."""
-    check_complex_structure(j_map)
-    if j_map.nrows != algebra.dim:
+    """C and J as integers: (C, dc, J, J^T, dj) with C = C/dc, J = J/dj.
+
+    Raises NotComplexStructureError, with check_complex_structure's messages,
+    unless J is square with J^2 = -I, tested on the integer J as
+    J J = -dj^2 I; then DimensionMismatchError unless J is dim x dim.
+    """
+    if not j_map.is_square():
+        raise NotComplexStructureError("J must be square")
+    j, jt, dj = integer_map(j_map)
+    n = len(j)
+    if int_matmul(j, j) != [[-dj * dj if a == b else 0 for b in range(n)] for a in range(n)]:
+        raise NotComplexStructureError("J^2 != -I")
+    if n != algebra.dim:
         raise DimensionMismatchError("J must be dim x dim")
-    return (*_structure_tensor(algebra), *integer_map(j_map))
+    return (*_structure_tensor(algebra), j, jt, dj)
 
 
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:

@@ -49,6 +49,14 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def format_quotient(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, with one gcd and no Fraction."""
+    if not num:
+        return "0"
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def rational_sqrt(x: Fraction) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:

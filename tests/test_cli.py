@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 
 from antikahler import catalog, geometry
-from antikahler.cli.main import main
+from antikahler.cli.main import build_parser, main
 from antikahler.cli.textio import (
     MAX_DIM,
     StructureFileError,
@@ -293,6 +293,22 @@ class TestCommands:
         assert code == 0
         assert len(builds) == 1
 
+    def test_curvature_machine_builds_no_fraction_operators(self, tmp_path, capsys,
+                                                            monkeypatch):
+        tensors = []
+
+        class RecordingTensor(geometry.CurvatureTensor):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tensors.append(self)
+
+        monkeypatch.setattr(geometry, "CurvatureTensor", RecordingTensor)
+        path = tmp_path / "sl2c.txt"
+        path.write_text(format_structure(catalog.get("sl2c_killing").structure))
+        code, _, _ = run_cli(capsys, "curvature", str(path), "--output", "machine")
+        assert code == 0
+        assert [t._fraction_ops for t in tensors] == [None]
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("[algebra]\ndim = 3\nbracket e1 e1 = 1 e2\n")
@@ -312,3 +328,24 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["error"]["class"] == "AntisymmetryViolation"
         assert doc["error"]["line"] == 3
+
+
+class TestParserReuse:
+    """main() parses every call with one parser built on its first call."""
+
+    def test_usage_error_exits_2(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["check"])
+            assert exc.value.code == 2
+            assert "usage:" in capsys.readouterr().err
+
+    def test_defaults_do_not_carry_over(self, capsys):
+        argv = ["verify", "koszul_laws", "--seed", "5", "--output", "machine"]
+        code, out, _ = run_cli(capsys, *argv, "--samples", "3")
+        assert code == 0 and json.loads(out)["samples"] == 3
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["samples"] == 12
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()

@@ -29,13 +29,20 @@ from antikahler.geometry import (
 )
 from antikahler.liealg import (
     LieAlgebra,
+    NotComplexStructureError,
     is_abelian_j,
     is_anti_abelian_j,
     is_bi_invariant_j,
     nijenhuis,
     nijenhuis_is_zero,
 )
-from antikahler.scalars import GaussianRational, Matrix, basis_vector
+from antikahler.scalars import (
+    DimensionMismatchError,
+    GaussianRational,
+    Matrix,
+    basis_vector,
+    format_rational,
+)
 from antikahler.theta import (
     ThetaTensor,
     anti_kahler_via_theta,
@@ -184,6 +191,21 @@ def ref_is_bi_invariant_j(algebra, j_map):
                for i in range(n) for j in range(n))
 
 
+def ref_check_complex_structure(j_map):
+    """J^2 = -I by Fraction Matrix products, as the J tests checked it."""
+    if not j_map.is_square():
+        raise NotComplexStructureError("J must be square")
+    n = j_map.nrows
+    if j_map * j_map != -Matrix.identity(n):
+        raise NotComplexStructureError("J^2 != -I")
+
+
+def ref_component_texts(r):
+    n = r.dim
+    return [[[[format_rational(x) for x in col] for col in zip(*r.op(i, j).rows)]
+              for j in range(n)] for i in range(n)]
+
+
 def ref_killing_form(algebra):
     n = algebra.dim
     ads = [algebra.ad_basis(i) for i in range(n)]
@@ -279,6 +301,54 @@ def algebras_with_j(draw):
     return algebra, random_complex_structure(rng, algebra.dim, 2)
 
 
+@st.composite
+def j_candidates(draw):
+    """Square and non-square maps, of which some, but not all, square to -I:
+    random rational matrices, exact conjugates of the standard J and
+    integer-entry complex structures, the last two also with one entry
+    nudged."""
+    n = draw(st.sampled_from((2, 4, 4, 6)))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(("conjugate", "int", "near", "int-near", "random",
+                                 "non-square")))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if kind == "random":
+        return Matrix(draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+    if kind == "non-square":
+        m = draw(st.sampled_from((n - 1, n + 1)))
+        return Matrix(draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                                    min_size=n, max_size=n)))
+    if kind.startswith("int"):
+        # a block-diagonal J with blocks [[a, b], [c, -a]], a^2 + bc = -1
+        rows = [[0] * n for _ in range(n)]
+        for p in range(0, n, 2):
+            a = rng.randint(-3, 3)
+            b = rng.choice([d for d in range(-1 - a * a, 2 + a * a)
+                            if d and (1 + a * a) % d == 0])
+            rows[p][p], rows[p][p + 1] = a, b
+            rows[p + 1][p], rows[p + 1][p + 1] = (-1 - a * a) // b, -a
+    else:
+        rows = [list(row) for row in random_complex_structure(rng, n, 2).rows]
+    if kind.endswith("near"):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] += draw(entry.filter(bool))
+    return Matrix(rows)
+
+
+J_TEST_ALGEBRAS = (LieAlgebra.from_brackets(2, {(0, 1): {1: 1}}), r_minus_one_minus_one(),
+                   aff_c_real(), catalog.get("n7_J-1").structure.algebra)
+
+
+def raised(fn, *args):
+    """(exception type, message) that fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except (NotComplexStructureError, DimensionMismatchError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
 SPECIAL = [catalog.get(name).structure for name in catalog.list_names()]
 
 
@@ -306,6 +376,14 @@ class TestCurvatureContractions:
         for s in SPECIAL:
             assert curvature_is_pure(s) == ref_curvature_is_pure(s)
             assert curvature_j_anticommutes(s) == ref_curvature_j_anticommutes(s)
+
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_component_texts(self, s):
+        r = curvature(s)
+        texts = r.component_texts()
+        assert r._fraction_ops is None
+        assert texts == ref_component_texts(r)
 
     def test_check_builds_no_fraction_operators(self):
         s = random_structure(GeneratorConfig(dim=6), 3)
@@ -365,6 +443,20 @@ class TestLieContractions:
         assert is_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j)
         assert is_anti_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j, sign=-1)
         assert is_bi_invariant_j(algebra, j) == ref_is_bi_invariant_j(algebra, j)
+
+    @given(j_candidates(), st.sampled_from(J_TEST_ALGEBRAS))
+    @settings(max_examples=150, deadline=None)
+    def test_j_square_check(self, j, algebra):
+        """The J tests reject J exactly as the Fraction check does, with its
+        message, and only then check J against the algebra's dimension."""
+        try:
+            ref_check_complex_structure(j)
+            want = None if j.nrows == algebra.dim else (
+                DimensionMismatchError, "J must be dim x dim")
+        except NotComplexStructureError as exc:
+            want = NotComplexStructureError, str(exc)
+        for fn in (nijenhuis, is_abelian_j, is_bi_invariant_j, is_anti_abelian_j):
+            assert raised(fn, algebra, j) == want
 
     @given(structures(dims=(4, 6)))
     @settings(max_examples=40, deadline=None)

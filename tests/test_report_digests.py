@@ -1,18 +1,22 @@
-"""Byte-stability gate: sha256 digests of exact machine reports.
+"""Byte-stability gate: sha256 digests of exact CLI reports.
 
-The digests were recorded before the integer J-contraction and
-fraction-free elimination kernels replaced the Fraction code paths, so any
-kernel change that alters a computed verdict, count or number fails here.
+The check and verify digests were recorded before the integer J-contraction
+and fraction-free elimination kernels replaced the Fraction code paths; the
+curvature, human check and classify digests were recorded before machine
+curvature text was formatted from integer numerators and before the CLI
+stopped building the report it does not print.  So any change that alters
+a computed verdict, count, number or line fails here.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from antikahler import catalog
 from antikahler.cli.main import main
 from antikahler.cli.textio import format_structure
-from antikahler.verifier import list_suites
+from antikahler.verifier import GeneratorConfig, list_suites, random_structure
 
 CHECK_DIGESTS = {
     "abelian4": "8a22f488ff782a6971654c689db47597f384a382650f8fd837e796c3f8aef60e",
@@ -47,6 +51,51 @@ VERIFY_DIGESTS = {
 }
 
 
+# (command, output, catalog entry) -> (exit code, digest of stdout)
+REPORT_DIGESTS = {
+    ("curvature", "machine", "abelian4"):
+        (0, "a6930a31756ba0e320c45a251e48334515efd15eea11bec53f43b793a1193fce"),
+    ("curvature", "machine", "n7_J-1"):
+        (0, "ec6439f0f60f02adfd8e1e9f59178b5c07babe44e657839af18178990fd0a53c"),
+    ("curvature", "machine", "sl2c_killing"):
+        (0, "bd90a7c7e990fd3b54c9cf7936e18200ef55c1f086b30f02cf84e56961de3b83"),
+    ("curvature", "machine", "r-1-1_std"):
+        (0, "7ff676ea23a5a9b8d97fc53215f1c923523fbf6c30346d8cf43ef04bdd34ef86"),
+    ("curvature", "machine", "affC_std"):
+        (0, "11a0a57f0a19afa633815b913cb05f7f516321fed435c1d6eb5efb6ffb346b2d"),
+    ("curvature", "human", "abelian4"):
+        (0, "f5bc101a87b74ed6a6a9af5a732f595c7c1bd8df1ddbbb080df159b4211bccc6"),
+    ("curvature", "human", "n7_J-1"):
+        (0, "519265b4e115e3d9dcdcf4adf25498070b443b3fde5dee8147beb830ae295a34"),
+    ("curvature", "human", "sl2c_killing"):
+        (0, "f672f94d4334ee82992908818928f8c8f8b3c75ba390f98d63e1aec4a2b3d8a3"),
+    ("curvature", "human", "r-1-1_std"):
+        (0, "68ad141110bc1f1c49e04b214508e2c38633ea26e35155df8c7ae47c65ac4e6a"),
+    ("curvature", "human", "affC_std"):
+        (0, "f216e53e12346f306358c0198d21341ee282a5a09b8058382f8d13dba2f464ea"),
+    ("check", "human", "abelian4"):
+        (0, "51a07a398c8f3bd1d3ced3f1473ef52034611c1f2f0ef48c5288f597e0bc4d4a"),
+    ("check", "human", "n7_J-1"):
+        (0, "2bb25d297a08d6324c847ce0fb40c8443d08aae006899a736932c991e0d26ca6"),
+    ("check", "human", "sl2c_killing"):
+        (0, "aff36b479697f3d24dcb588d701001d1ec6663c90385f04dcbf2250df67acc3c"),
+    ("check", "human", "r-1-1_std"):
+        (0, "10990856d19b5af04ca2f6bc9c7981470905d1500c286df3dc949a39bbf9f8a7"),
+    ("check", "human", "affC_std"):
+        (0, "b487d441e491f138b0269ae3fb041d93c146f07bde05760f77738f6a023ae890"),
+    ("classify", "machine", "abelian4"):
+        (0, "129d3fb8561a45ccebf04476be275f77325e00cfb83e63912b31d212d2f86c21"),
+    ("classify", "machine", "r-1-1_std"):
+        (0, "b85a91b7ea7e167203861344e17d32f6dbbb02f1a4e2640ec009366a5387dbc0"),
+    ("classify", "machine", "affC_std"):
+        (0, "94547ba629487ebe57f7e83a6dc16b05cdf4e1501aa538ae47a854b50b38ed51"),
+}
+
+# classify --output machine on index 0 (kind 0) of the dim-4 stream at
+# master seed 20240601: the NormalizationFailed error document
+STREAM_CLASSIFY = (2, "f62e08f129484658dea0613921fb9093e48cf9edd720f0add60636a6e31bf57d")
+
+
 def digest_of(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -69,3 +118,49 @@ def test_check_report(name, tmp_path, capsys):
 def test_verify_report(suite, capsys):
     assert digest_of(capsys, "verify", suite, "--seed", "1000", "--dim", "4",
                      "--output", "machine") == (0, VERIFY_DIGESTS[suite])
+
+
+@pytest.fixture(scope="module")
+def catalog_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("catalog")
+    paths = {}
+    for name in catalog.list_names():
+        paths[name] = root / f"{name}.txt"
+        paths[name].write_text(format_structure(catalog.get(name).structure),
+                               encoding="utf-8")
+    return paths
+
+
+def test_every_catalog_entry_is_pinned():
+    for command, output in (("curvature", "machine"), ("curvature", "human"),
+                            ("check", "human")):
+        assert {name for c, o, name in REPORT_DIGESTS if (c, o) == (command, output)} \
+            == set(catalog.list_names())
+
+
+@pytest.mark.parametrize("key", sorted(REPORT_DIGESTS), ids="-".join)
+def test_report(key, catalog_files, capsys):
+    command, output, name = key
+    assert digest_of(capsys, command, str(catalog_files[name]), "--output", output) == \
+        REPORT_DIGESTS[key]
+
+
+def test_stream_classify_error_document(tmp_path, capsys):
+    s = random_structure(GeneratorConfig(dim=4, master_seed=20240601), 0)
+    path = tmp_path / "s0.txt"
+    path.write_text(format_structure(s), encoding="utf-8")
+    assert digest_of(capsys, "classify", str(path), "--output", "machine") == \
+        STREAM_CLASSIFY
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reports_in_any_order(seed, catalog_files, capsys):
+    """One process, one shared parser: each report is the same in any order."""
+    pinned = dict(REPORT_DIGESTS)
+    pinned.update({("check", "machine", name): (0, digest)
+                   for name, digest in CHECK_DIGESTS.items()})
+    keys = sorted(pinned)
+    random.Random(seed).shuffle(keys)
+    for command, output, name in keys:
+        assert digest_of(capsys, command, str(catalog_files[name]), "--output", output) \
+            == pinned[command, output, name]

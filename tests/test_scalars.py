@@ -11,6 +11,7 @@ from antikahler.scalars import (
     NotSymmetricError,
     clear_denominators,
     SingularMatrixError,
+    format_quotient,
     format_rational,
     gaussian_sqrt,
     invert,
@@ -66,6 +67,17 @@ class TestRationalText:
     @given(st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9))
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+    @pytest.mark.parametrize("num,den", [
+        (0, 1), (0, 7), (0, 2**200), (5, 1), (-5, 1), (6, 4), (-6, 4), (-6, 3),
+        (2**200, 2**100), (-(2**200) - 1, 2**200), (3**130, 2**200), (1, 2**200 + 1),
+    ])
+    def test_format_quotient_cases(self, num, den):
+        assert format_quotient(num, den) == str(Fraction(num, den))
+
+    @given(st.integers(-(2**210), 2**210), st.integers(1, 2**210))
+    def test_format_quotient(self, num, den):
+        assert format_quotient(num, den) == str(Fraction(num, den))
 
 
 class TestGaussianRational:
