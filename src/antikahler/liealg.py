@@ -225,13 +225,16 @@ class LieAlgebra:
                                          den)).rank()
 
 
-def check_complex_structure(j_map: Matrix) -> None:
-    """Raise unless J^2 = -I exactly."""
+def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
+    """Raise unless J^2 = -I exactly; return J as integers (J, J^T, dj) with
+    J = J/dj.  J^2 = -I is tested on the integer J as J J = -dj^2 I."""
     if not j_map.is_square():
         raise NotComplexStructureError("J must be square")
-    n = j_map.nrows
-    if j_map * j_map != -Matrix.identity(n):
+    j, jt, dj = integer_map(j_map)
+    n = len(j)
+    if int_matmul(j, j) != [[-dj * dj if a == b else 0 for b in range(n)] for a in range(n)]:
         raise NotComplexStructureError("J^2 != -I")
+    return j, jt, dj
 
 
 def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
@@ -250,17 +253,11 @@ def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
 def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
     """C and J as integers: (C, dc, J, J^T, dj) with C = C/dc, J = J/dj.
 
-    Raises NotComplexStructureError, with check_complex_structure's messages,
-    unless J is square with J^2 = -I, tested on the integer J as
-    J J = -dj^2 I; then DimensionMismatchError unless J is dim x dim.
+    Raises as check_complex_structure does, then DimensionMismatchError
+    unless J is dim x dim.
     """
-    if not j_map.is_square():
-        raise NotComplexStructureError("J must be square")
-    j, jt, dj = integer_map(j_map)
-    n = len(j)
-    if int_matmul(j, j) != [[-dj * dj if a == b else 0 for b in range(n)] for a in range(n)]:
-        raise NotComplexStructureError("J^2 != -I")
-    if n != algebra.dim:
+    j, jt, dj = check_complex_structure(j_map)
+    if len(j) != algebra.dim:
         raise DimensionMismatchError("J must be dim x dim")
     return (*_structure_tensor(algebra), j, jt, dj)
 

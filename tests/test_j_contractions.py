@@ -30,6 +30,7 @@ from antikahler.geometry import (
 from antikahler.liealg import (
     LieAlgebra,
     NotComplexStructureError,
+    check_complex_structure,
     is_abelian_j,
     is_anti_abelian_j,
     is_bi_invariant_j,
@@ -42,6 +43,7 @@ from antikahler.scalars import (
     Matrix,
     basis_vector,
     format_rational,
+    fractions_over,
 )
 from antikahler.theta import (
     ThetaTensor,
@@ -192,7 +194,8 @@ def ref_is_bi_invariant_j(algebra, j_map):
 
 
 def ref_check_complex_structure(j_map):
-    """J^2 = -I by Fraction Matrix products, as the J tests checked it."""
+    """J^2 = -I by Fraction Matrix products, as check_complex_structure
+    tested it before it moved to the integer J."""
     if not j_map.is_square():
         raise NotComplexStructureError("J must be square")
     n = j_map.nrows
@@ -447,14 +450,21 @@ class TestLieContractions:
     @given(j_candidates(), st.sampled_from(J_TEST_ALGEBRAS))
     @settings(max_examples=150, deadline=None)
     def test_j_square_check(self, j, algebra):
-        """The J tests reject J exactly as the Fraction check does, with its
-        message, and only then check J against the algebra's dimension."""
+        """check_complex_structure and the J tests reject J exactly as the
+        Fraction check does, with its message; the J tests only then check J
+        against the algebra's dimension."""
         try:
             ref_check_complex_structure(j)
             want = None if j.nrows == algebra.dim else (
                 DimensionMismatchError, "J must be dim x dim")
         except NotComplexStructureError as exc:
             want = NotComplexStructureError, str(exc)
+        if want is None or want[0] is DimensionMismatchError:
+            ints, ints_t, den = check_complex_structure(j)
+            assert Matrix(fractions_over(ints, den)) == j
+            assert ints_t == [list(col) for col in zip(*ints)]
+        else:
+            assert raised(check_complex_structure, j) == want
         for fn in (nijenhuis, is_abelian_j, is_bi_invariant_j, is_anti_abelian_j):
             assert raised(fn, algebra, j) == want
 
