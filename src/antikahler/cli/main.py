@@ -202,8 +202,7 @@ def _cmd_curvature(args) -> int:
     r = curvature(s, conn)
     rc, ric = ricci(s, conn)
     n = s.dim
-    gamma = [[[format_rational(x) for x in col] for col in zip(*op.rows)]
-             for op in conn.operators]
+    gamma = conn.component_texts()
     riemann = r.component_texts()
     ricci_rows = [[format_rational(x) for x in row] for row in rc.rows]
     if args.output == "machine":

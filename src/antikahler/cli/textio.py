@@ -11,6 +11,7 @@ parse -> print -> parse is the identity byte for byte.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -49,6 +50,11 @@ _SECTIONS = ("[algebra]", "[metric]", "[complex_structure]")
 
 # Largest accepted 'dim'; checked before anything of that size is allocated.
 MAX_DIM = 64
+
+# Integers in 'dim' lines and basis tokens: ASCII digits only, as int() would
+# also take other Unicode decimal digits and underscores.
+_DIM_RE = re.compile(r"[+-]?[0-9]+")
+_BASIS_RE = re.compile(r"e([0-9]+)")
 
 
 def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
@@ -149,10 +155,9 @@ def _parse_algebra_line(line, lineno, brackets, bracket_lines, dim) -> Optional[
             raise StructureSyntaxError(lineno, "expected 'dim = <int>'")
         if dim is not None:
             raise StructureSyntaxError(lineno, "duplicate dim line")
-        try:
-            value = int(tokens[2])
-        except ValueError:
-            raise StructureSyntaxError(lineno, f"bad dimension {tokens[2]!r}") from None
+        if not _DIM_RE.fullmatch(tokens[2]):
+            raise StructureSyntaxError(lineno, f"bad dimension {tokens[2]!r}")
+        value = int(tokens[2])
         if value < 1:
             raise StructureSyntaxError(lineno, "dim must be positive")
         if value > MAX_DIM:
@@ -199,9 +204,10 @@ def _parse_algebra_line(line, lineno, brackets, bracket_lines, dim) -> Optional[
 
 
 def _parse_basis_token(token: str, lineno: int) -> int:
-    if not token.startswith("e") or not token[1:].isdigit():
+    match = _BASIS_RE.fullmatch(token)
+    if match is None:
         raise StructureSyntaxError(lineno, f"expected basis token e<k>, got {token!r}")
-    return int(token[1:])
+    return int(match[1])
 
 
 def format_structure(obj: Union[LieAlgebra, AntiHermitianStructure]) -> str:

@@ -12,10 +12,16 @@ slot, Rc_jk = sum_i R^i_ijk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .liealg import LieAlgebra, _structure_tensor, check_complex_structure
+from .liealg import (
+    LieAlgebra,
+    NotComplexStructureError,
+    _structure_tensor,
+    check_complex_structure,
+)
 from .scalars import (
     DimensionMismatchError,
     GaussianRational,
@@ -27,7 +33,6 @@ from .scalars import (
     format_quotient,
     fractions_over,
     int_matmul,
-    integer_map,
     signature,
 )
 
@@ -53,15 +58,17 @@ class AntiHermitianStructure:
         n = algebra.dim
         if g.nrows != n or g.ncols != n or j_map.nrows != n or j_map.ncols != n:
             raise DimensionMismatchError("g and J must be dim x dim")
-        if j_map * j_map != -Matrix.identity(n):
-            raise BadJSquareError("J^2 != -I")
+        try:
+            j = check_complex_structure(j_map)
+        except NotComplexStructureError:
+            raise BadJSquareError("J^2 != -I") from None
         if not g.is_symmetric():
             raise NotAntiIsometryError("metric matrix is not symmetric")
         try:
             g_inv = g.inverse()
         except SingularMatrixError:
             raise SingularMetricError("metric matrix is singular") from None
-        if j_map.transpose() * g * j_map != -g:
+        if not _j_anti_invariant(g.integer_form[0], *j):
             raise NotAntiIsometryError("g(Jx, Jy) != -g(x, y)")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "g", g)
@@ -97,27 +104,73 @@ class AntiHermitianStructure:
         return self._cache[key]
 
 
-class Connection:
-    """Levi-Civita data: operators M_i with M_i column j = nabla_{e_i} e_j."""
+def _j_anti_invariant(b: list, j: list, jt: list, dj: int) -> bool:
+    """J^T B J = -B for an integer matrix B and a J given as integers (J, J^T)
+    over dj, tested as J^T B J = -dj^2 B."""
+    sq = dj * dj
+    return int_matmul(jt, int_matmul(b, j)) == [[-sq * x for x in row] for row in b]
 
-    __slots__ = ("operators",)
+
+class Connection:
+    """Levi-Civita data: operators M_i with M_i column j = nabla_{e_i} e_j.
+
+    Stored as flat integer Christoffel numerators t[i][j][k] (coefficient of
+    e_k in nabla_{e_i} e_j) over one denominator that shares no factor with
+    all of them, which is the lcm of the reduced Fraction denominators.  The
+    Fraction operators are built on first read of ``operators``.
+    """
+
+    __slots__ = ("dim", "_numerators", "_den", "_operators")
 
     def __init__(self, operators: Sequence[Matrix]):
-        object.__setattr__(self, "operators", tuple(operators))
+        operators = tuple(operators)
+        rows, den = clear_denominators(col for m in operators for col in zip(*m.rows))
+        self._store(len(operators), [x for row in rows for x in row], den, operators)
+
+    @classmethod
+    def _from_numerators(cls, dim: int, t: list, den: int) -> "Connection":
+        """The connection t / den (den > 0), reduced by the gcd of all entries."""
+        g = math.gcd(den, *t)
+        conn = cls.__new__(cls)
+        conn._store(dim, [x // g for x in t] if g > 1 else t, den // g, None)
+        return conn
+
+    def _store(self, dim, t, den, operators):
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "_numerators", t)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_operators", operators)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
 
     @property
-    def dim(self) -> int:
-        return len(self.operators)
+    def operators(self) -> tuple:
+        if self._operators is None:
+            object.__setattr__(self, "_operators", tuple(map(
+                Matrix.from_cols, _planes(self._numerators, self._den, self.dim))))
+        return self._operators
+
+    def _matrices(self) -> list:
+        """The integer operators N_i = M_i * den, as row lists N_i[k][j]."""
+        n, t = self.dim, self._numerators
+        columns = [t[p:p + n] for p in range(0, len(t), n)]  # nabla_{e_i} e_j at i * n + j
+        return [[list(row) for row in zip(*columns[i * n:(i + 1) * n])] for i in range(n)]
 
     def nabla_basis(self, i: int) -> Matrix:
         return self.operators[i]
 
     def gamma(self, i: int, j: int, k: int) -> Fraction:
         """Coefficient of e_k in nabla_{e_i} e_j."""
-        return self.operators[i][k][j]
+        n = self.dim
+        return Fraction(self._numerators[(i * n + j) * n + k], self._den)
+
+    def component_texts(self) -> list:
+        """Every Gamma^k_{ij} as its exact rational string, out[i][j][k]."""
+        n, den = self.dim, self._den
+        texts = [format_quotient(x, den) for x in self._numerators]
+        return [[texts[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
+                for i in range(n)]
 
     def nabla_direction(self, x: Sequence) -> Matrix:
         """Operator nabla_x = sum_i x_i nabla_{e_i}."""
@@ -134,7 +187,16 @@ class Connection:
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        return self.operators == other.operators
+        return (self.dim == other.dim and self._den == other._den
+                and self._numerators == other._numerators)
+
+
+def _bracket_rows(algebra: LieAlgebra) -> tuple[dict, int]:
+    """{(a, b): row} for the nonzero brackets, a < b, with [e_a, e_b] = row / d,
+    read from the structure tensor; and d."""
+    c, dc = _structure_tensor(algebra)
+    n = algebra.dim
+    return {(a, b): c[(a * n + b) * n:(a * n + b + 1) * n] for a, b in algebra._table}, dc
 
 
 def _lowered_brackets(s: AntiHermitianStructure) -> tuple[list, int]:
@@ -144,12 +206,11 @@ def _lowered_brackets(s: AntiHermitianStructure) -> tuple[list, int]:
     are one shared zero row.
     """
     n = s.dim
-    table = s.algebra.nonzero_brackets()
-    brackets, dc = clear_denominators(table.values())
-    g, dg = clear_denominators(s.g.rows)
+    brackets, dc = _bracket_rows(s.algebra)
+    g, _, dg = s.g.integer_form
     zero = [0] * n
     lowered = [[zero] * n for _ in range(n)]
-    for (a, b), row in zip(table, int_matmul(brackets, g)):
+    for (a, b), row in zip(brackets, int_matmul(list(brackets.values()), g)):
         lowered[a][b] = row
         lowered[b][a] = [-x for x in row]
     return lowered, dc * dg
@@ -161,21 +222,22 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j], e_k) - g([e_j,e_k], e_i)
                                 + g([e_k,e_i], e_j), solved by g^{-1}.
     The right-hand sides and the product with g^{-1} run over integers with
-    one shared denominator; each Gamma entry becomes a Fraction once.
+    one shared denominator, and the connection keeps them as integers.
     """
     def build():
         n = s.dim
         lowered, den = _lowered_brackets(s)
-        g_inv, d_inv = clear_denominators(s.g_inv.rows)
-        den = 2 * den * d_inv
-        operators = []
+        g_inv, _, d_inv = s.g_inv.integer_form
+        t = []
         for i in range(n):
             low_i = lowered[i]
-            # rhs[k][j] = 2 g(nabla_{e_i} e_j, e_k) times the lowering denominator
+            # rhs[j][k] = 2 g(nabla_{e_i} e_j, e_k) times the lowering denominator;
+            # g^{-1} is symmetric, so row j of rhs g^{-1} is nabla_{e_i} e_j
             rhs = [[low_i[j][k] - lowered[j][k][i] + lowered[k][i][j]
-                    for j in range(n)] for k in range(n)]
-            operators.append(Matrix(fractions_over(int_matmul(g_inv, rhs), den)))
-        return Connection(operators)
+                    for k in range(n)] for j in range(n)]
+            for row in int_matmul(rhs, g_inv):
+                t += row
+        return Connection._from_numerators(n, t, 2 * den * d_inv)
 
     return s._memo("levi_civita", build)
 
@@ -187,10 +249,11 @@ def nabla_j_operators(s: AntiHermitianStructure,
 
 
 def _nabla_j(s: AntiHermitianStructure, conn: Connection) -> tuple[list, int]:
-    """nabla_i J - J nabla_i laid out as _tensor's t, and its denominator."""
-    gamma, d = _tensor(conn.operators)
-    j, jt, dj = integer_map(s.J)
-    return [a - b for a, b in zip(contract(gamma, j, 1), contract(gamma, jt, 2))], d * dj
+    """nabla_i J - J nabla_i laid out as the connection's numerators, and its
+    denominator."""
+    gamma = conn._numerators
+    j, jt, dj = s.J.integer_form
+    return [a - b for a, b in zip(contract(gamma, j, 1), contract(gamma, jt, 2))], conn._den * dj
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
@@ -289,12 +352,6 @@ def _pair_blocks(n: int, mirror: bool = False) -> list:
     return [slice((a * n + b) * size, (a * n + b + 1) * size) for a, b in pairs]
 
 
-def _tensor(operators: Sequence[Matrix]) -> tuple[list, int]:
-    """Operators as flat integers t[i][j][k] = M_i[k][j] over one denominator."""
-    rows, den = clear_denominators(col for m in operators for col in zip(*m.rows))
-    return [x for row in rows for x in row], den
-
-
 def _planes(t: list, den: int, n: int) -> list:
     """A flat order-3 integer tensor over den as Fraction rows: out[i][j] = t[i][j][:]."""
     return [fractions_over((t[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)), den)
@@ -318,11 +375,8 @@ def curvature(s: AntiHermitianStructure,
     def build():
         c = conn_in or levi_civita(s)
         n = s.dim
-        table = s.algebra.nonzero_brackets()
-        brackets, dw = clear_denominators(table.values())
-        brackets = dict(zip(table, brackets))
-        rows, d = clear_denominators(row for m in c.operators for row in m.rows)
-        nums = [rows[i * n:(i + 1) * n] for i in range(n)]
+        brackets, dw = _bracket_rows(s.algebra)
+        nums, d = c._matrices(), c._den
         # R(e_i, e_j) = (N_i N_j - N_j N_i) / d^2 - sum_l (w_l / dw) N_l / d
         numerators = {}
         for i in range(n):
@@ -354,19 +408,30 @@ def ricci(s: AntiHermitianStructure,
     conn_in = _foreign(s, conn)
 
     def build():
-        r = curvature(s, conn_in)
-        n = s.dim
-        nums = r._numerators
-        # Rc_jk = sum_i R(e_i, e_j)[i][k], read from the stored i < j numerators
-        rc = [[sum(nums[(i, j)][i][k] if i < j else -nums[(j, i)][i][k]
-                   for i in range(n) if i != j) for k in range(n)] for j in range(n)]
-        g_inv, d_inv = clear_denominators(s.g_inv.rows)
-        ric = Matrix(fractions_over(int_matmul(g_inv, rc), d_inv * r._den))
-        return Matrix(fractions_over(rc, r._den)), ric
+        if conn_in is None:
+            rc, den = _ricci_numerators(s)
+        else:
+            rc, den = _ricci_trace(curvature(s, conn_in))
+        g_inv, _, d_inv = s.g_inv.integer_form
+        ric = Matrix(fractions_over(int_matmul(g_inv, rc), d_inv * den))
+        return Matrix(fractions_over(rc, den)), ric
 
     if conn_in is None:
         return s._memo("ricci", build)
     return build()
+
+
+def _ricci_trace(r: CurvatureTensor) -> tuple[list, int]:
+    """Integer rows rc and a denominator d with Rc_jk = rc[j][k] / d."""
+    n, nums = r.dim, r._numerators
+    # Rc_jk = sum_i R(e_i, e_j)[i][k], read from the stored i < j numerators
+    return [[sum(nums[(i, j)][i][k] if i < j else -nums[(j, i)][i][k]
+                 for i in range(n) if i != j) for k in range(n)] for j in range(n)], r._den
+
+
+def _ricci_numerators(s: AntiHermitianStructure) -> tuple[list, int]:
+    """_ricci_trace of the structure's own curvature, memoized on s."""
+    return s._memo("ricci_numerators", lambda: _ricci_trace(curvature(s)))
 
 
 def is_flat(s: AntiHermitianStructure) -> bool:
@@ -376,26 +441,21 @@ def is_flat(s: AntiHermitianStructure) -> bool:
 def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
     """Exact test Rc = lambda g; lambda from the first nonzero g entry.
 
-    All-zero Rc reports (True, 0): Ricci-flat counts as Einstein.
+    All-zero Rc reports (True, 0): Ricci-flat counts as Einstein.  With
+    Rc = rc / d and g = G / dg, lambda = rc_ij dg / (d G_ij) for that entry
+    (i, j), and Rc = lambda g reads rc G_ij = rc_ij G on the integers.
     """
-    rc, _ = ricci(s)
-    n = s.dim
-    lam = None
-    for i in range(n):
-        for j in range(n):
-            if s.g[i][j] != 0:
-                lam = rc[i][j] / s.g[i][j]
-                break
-        if lam is not None:
-            break
-    if rc == lam * s.g:
-        return True, lam
+    rc, den = _ricci_numerators(s)
+    g, _, dg = s.g.integer_form
+    i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+    gij, rij = g[i][j], rc[i][j]
+    if all(x * gij == rij * y for rc_row, g_row in zip(rc, g) for x, y in zip(rc_row, g_row)):
+        return True, Fraction(rij * dg, den * gij)
     return False, None
 
 
 def is_ricci_flat(s: AntiHermitianStructure) -> bool:
-    rc, _ = ricci(s)
-    return rc.is_zero()
+    return not any(x for row in _ricci_numerators(s)[0] for x in row)
 
 
 def curvature_is_pure(s: AntiHermitianStructure) -> bool:
@@ -406,7 +466,7 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     i < j, R(e_i, e_j) J = J R(e_i, e_j) = sum_m J_mi R(e_m, e_j) =
     sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i)."""
     t = curvature(s)._flat()
-    j, jt, _ = integer_map(s.J)
+    j, jt, _ = s.J.integer_form
     blocks = _pair_blocks(s.dim)
     right = []
     for b in blocks:
@@ -421,7 +481,7 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
 def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:
     """R(Je_i, Je_j) = -R(e_i, e_j) as operators."""
     t = curvature(s)._flat()
-    j, _, dj = integer_map(s.J)
+    j, _, dj = s.J.integer_form
     rjj = contract(contract(t, j, 0), j, 1)
     return all(rjj[b] == [-dj * dj * x for x in t[b]] for b in _pair_blocks(s.dim))
 
@@ -503,18 +563,19 @@ def preserves_complexified_form(s: AntiHermitianStructure, t: Matrix) -> bool:
 def satisfies_abelian_connection_rule(s: AntiHermitianStructure,
                                       conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = -J nabla_x y on the basis."""
-    return _j_direction_rule(s, _tensor((conn or levi_civita(s)).operators)[0], -1)
+    return _j_direction_rule(s, (conn or levi_civita(s))._numerators, -1)
 
 
 def satisfies_bi_invariant_connection_rule(s: AntiHermitianStructure,
                                            conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = J nabla_x y on the basis."""
-    return _j_direction_rule(s, _tensor((conn or levi_civita(s)).operators)[0], 1)
+    return _j_direction_rule(s, (conn or levi_civita(s))._numerators, 1)
 
 
 def _j_direction_rule(s, t: list, sign) -> bool:
-    """sum_m J_mi M_m = sign J M_i for all i, operators M given as _tensor's t."""
-    j, jt, _ = integer_map(s.J)
+    """sum_m J_mi M_m = sign J M_i for all i, operators M laid out as a
+    connection's numerators t[i][j][k] = M_i[k][j]."""
+    j, jt, _ = s.J.integer_form
     return contract(t, j, 0) == [sign * x for x in contract(t, jt, 2)]
 
 
@@ -532,25 +593,20 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
     against it.
     """
     c, dc = _structure_tensor(s.algebra)
-    j, jt, dj = integer_map(s.J)
+    j, jt, dj = s.J.integer_form
     t = [dj * dj * a - b for a, b in zip(c, contract(contract(c, j, 1), jt, 2))]
-    return Connection(map(Matrix.from_cols, _planes(t, 2 * dc * dj * dj, s.dim)))
+    return Connection._from_numerators(s.dim, t, 2 * dc * dj * dj)
 
 
 def killing_anti_invariant(s: AntiHermitianStructure) -> bool:
     """B(Jx, Jy) = -B(x, y) for the Killing form B."""
-    b = s.algebra.killing_form()
-    return s.J.transpose() * b * s.J == -b
+    return _j_anti_invariant(s.algebra.killing_form().integer_form[0], *s.J.integer_form)
 
 
 def second_derivatives_commute(s: AntiHermitianStructure,
                                conn: Optional[Connection] = None) -> bool:
     """nabla_{e_i} nabla_{e_j} = nabla_{e_j} nabla_{e_i} as operator tables."""
-    conn = conn or levi_civita(s)
+    nums = (conn or levi_civita(s))._matrices()
     n = s.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            mi, mj = conn.nabla_basis(i), conn.nabla_basis(j)
-            if mi * mj != mj * mi:
-                return False
-    return True
+    return all(int_matmul(nums[i], nums[j]) == int_matmul(nums[j], nums[i])
+               for i in range(n) for j in range(i + 1, n))

@@ -24,7 +24,6 @@ from .scalars import (
     contract,
     fractions_over,
     int_matmul,
-    integer_map,
 )
 
 BracketTable = Mapping[tuple[int, int], Sequence]
@@ -103,7 +102,7 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
 class LieAlgebra:
     """Validated Lie algebra over Q given by its structure constants."""
 
-    __slots__ = ("dim", "_table", "_killing")
+    __slots__ = ("dim", "_table", "_killing", "_structure")
 
     def __init__(self, dim: int, table: dict, _validated: bool = False):
         if not _validated:
@@ -111,6 +110,7 @@ class LieAlgebra:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_killing", None)
+        object.__setattr__(self, "_structure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -230,7 +230,7 @@ def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
     J = J/dj.  J^2 = -I is tested on the integer J as J J = -dj^2 I."""
     if not j_map.is_square():
         raise NotComplexStructureError("J must be square")
-    j, jt, dj = integer_map(j_map)
+    j, jt, dj = j_map.integer_form
     n = len(j)
     if int_matmul(j, j) != [[-dj * dj if a == b else 0 for b in range(n)] for a in range(n)]:
         raise NotComplexStructureError("J^2 != -I")
@@ -239,15 +239,18 @@ def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
 
 def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
     """Flat integer tensor C[a][b][k] (coefficient of e_k in [e_a, e_b]) over
-    one denominator; only the nonzero brackets are written."""
-    n = algebra.dim
-    table = algebra._table
-    rows, den = clear_denominators(table.values())
-    flat = [0] * n ** 3
-    for (a, b), row in zip(table, rows):
-        flat[(a * n + b) * n:(a * n + b + 1) * n] = row
-        flat[(b * n + a) * n:(b * n + a + 1) * n] = [-x for x in row]
-    return flat, den
+    one denominator; only the nonzero brackets are written.  Computed once per
+    algebra and shared, so no reader may mutate it."""
+    if algebra._structure is None:
+        n = algebra.dim
+        table = algebra._table
+        rows, den = clear_denominators(table.values())
+        flat = [0] * n ** 3
+        for (a, b), row in zip(table, rows):
+            flat[(a * n + b) * n:(a * n + b + 1) * n] = row
+            flat[(b * n + a) * n:(b * n + a + 1) * n] = [-x for x in row]
+        object.__setattr__(algebra, "_structure", (flat, den))
+    return algebra._structure
 
 
 def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
@@ -262,24 +265,30 @@ def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
     return (*_structure_tensor(algebra), j, jt, dj)
 
 
+def _nijenhuis_numerators(algebra: LieAlgebra, j_map: Matrix) -> tuple[list, int]:
+    """C(J x J) - J C(J x 1) - J C(1 x J) - C as a flat integer tensor laid out
+    as C, and its denominator."""
+    c, dc, j, jt, dj = _j_contractions(algebra, j_map)
+    cj = contract(c, j, 0)
+    sq = dj * dj
+    terms = zip(contract(cj, j, 1), contract(cj, jt, 2), contract(contract(c, j, 1), jt, 2), c)
+    return [a - b - e - sq * x for a, b, e, x in terms], dc * sq
+
+
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:
     """Table N(e_i, e_j) of [Jx,Jy] - J[Jx,y] - J[x,JY] - [x,y] on basis pairs.
 
     Vanishes identically iff J is integrable in the left-invariant sense.
-    Computed as C(J x J) - J C(J x 1) - J C(1 x J) - C over integers.
+    Computed over integers by _nijenhuis_numerators.
     """
-    c, dc, j, jt, dj = _j_contractions(algebra, j_map)
+    nums, den = _nijenhuis_numerators(algebra, j_map)
     n = algebra.dim
-    cj = contract(c, j, 0)
-    sq = dj * dj
-    terms = zip(contract(cj, j, 1), contract(cj, jt, 2), contract(contract(c, j, 1), jt, 2), c)
-    nums = [a - b - e - sq * x for a, b, e, x in terms]
-    vecs = fractions_over((nums[p:p + n] for p in range(0, len(nums), n)), dc * sq)
+    vecs = fractions_over((nums[p:p + n] for p in range(0, len(nums), n)), den)
     return tuple(tuple(tuple(vecs[i * n + k]) for k in range(n)) for i in range(n))
 
 
 def nijenhuis_is_zero(algebra: LieAlgebra, j_map: Matrix) -> bool:
-    return all(not any(vec) for row in nijenhuis(algebra, j_map) for vec in row)
+    return not any(_nijenhuis_numerators(algebra, j_map)[0])
 
 
 def is_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:

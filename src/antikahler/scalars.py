@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 class SingularMatrixError(ValueError):
@@ -34,7 +34,7 @@ class DimensionMismatchError(ValueError):
 def parse_rational(token: str) -> Fraction:
     """Parse 'p', '-p' or 'p/q' (q > 0).  Rejects floats and spaces."""
     token = token.strip()
-    if not _RATIONAL_RE.match(token):
+    if not _RATIONAL_RE.fullmatch(token):
         raise ValueError(f"not a rational token: {token!r}")
     if "/" in token:
         num, den = token.split("/")
@@ -228,12 +228,6 @@ def contract(t: list, m: Sequence[Sequence[int]], slot: int) -> list:
     return out
 
 
-def integer_map(m: "Matrix") -> tuple[list, list, int]:
-    """A rational matrix m = N / d as (N, N^T, d), the operands of contract()."""
-    rows, den = clear_denominators(m.rows)
-    return rows, [list(col) for col in zip(*rows)], den
-
-
 def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, int]:
     """Fraction-free elimination of integer rows in place (Bareiss 1968) on the
     first ncols columns, below each pivot (and above it when jordan is set),
@@ -271,7 +265,7 @@ def _all_fractions(rows) -> bool:
 class Matrix:
     """Immutable dense matrix over Q or Q(i)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_integer_form")
 
     def __init__(self, rows: Iterable[Iterable]):
         rows = tuple(tuple(entry for entry in row) for row in rows)
@@ -281,9 +275,21 @@ class Matrix:
         if any(len(row) != width for row in rows):
             raise ValueError("ragged rows")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_integer_form", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def integer_form(self) -> tuple[list, list, int]:
+        """(N, N^T, d) with self = N / d and d the lcm of the denominators,
+        computed on first use.  Entries must be rational; the lists are
+        shared by every reader, so none may mutate them."""
+        if self._integer_form is None:
+            rows, den = clear_denominators(self.rows)
+            object.__setattr__(self, "_integer_form",
+                               (rows, [list(col) for col in zip(*rows)], den))
+        return self._integer_form
 
     @property
     def nrows(self) -> int:
@@ -348,8 +354,8 @@ class Matrix:
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}")
             if _all_fractions(self.rows) and _all_fractions(other.rows):
-                a, da = clear_denominators(self.rows)
-                b, db = clear_denominators(other.rows)
+                a, _, da = self.integer_form
+                b, _, db = other.integer_form
                 return Matrix(fractions_over(int_matmul(a, b), da * db))
             cols = list(zip(*other.rows))
             return Matrix([[_dot(row, col) for col in cols] for row in self.rows])
@@ -392,8 +398,8 @@ class Matrix:
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.nrows
         if _all_fractions(self.rows):
-            work, den = clear_denominators(self.rows)
-            pivots, last, sign = _bareiss(work, n)
+            rows, _, den = self.integer_form
+            pivots, last, sign = _bareiss([list(row) for row in rows], n)
             return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
         work = [list(row) for row in self.rows]
         det = Fraction(1)
@@ -414,7 +420,7 @@ class Matrix:
 
     def rank(self) -> int:
         if _all_fractions(self.rows):
-            return len(_bareiss(clear_denominators(self.rows)[0], self.ncols)[0])
+            return len(_bareiss([list(row) for row in self.integer_form[0]], self.ncols)[0])
         work = [list(row) for row in self.rows]
         nrows, ncols = self.nrows, self.ncols
         rank = 0
@@ -473,8 +479,8 @@ class Matrix:
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
         if _all_fractions(self.rows):
-            work, den = clear_denominators(self.rows)
-            work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(work)]
+            rows, _, den = self.integer_form
+            work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
             pivots, last, _ = _bareiss(work, n, jordan=True)
             if len(pivots) < n:
                 raise SingularMatrixError("matrix is singular")

@@ -131,6 +131,31 @@ class TestParse:
         assert peak < 1 << 20
 
 
+class TestAsciiDigits:
+    """Basis tokens, dim and rational entries take ASCII digits only."""
+
+    @pytest.mark.parametrize("text", [
+        "[algebra]\ndim = 2\nbracket e1 e\u00b2 = 1 e1\n",
+        "[algebra]\ndim = 2\nbracket e1 e\u0662 = 1 e1\n",
+        "[algebra]\ndim = \u0662\n",
+        "[algebra]\ndim = 1_0\n",
+        "[algebra]\ndim = 2\n[metric]\nrow = \u0661 0\nrow = 0 -1\n"
+        "[complex_structure]\nrow = 0 -1\nrow = 1 0\n",
+    ])
+    def test_non_ascii_digit_is_a_syntax_error(self, tmp_path, capsys, text):
+        path = tmp_path / "digits.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "check", str(path), "--output", "machine")
+        assert code == 2
+        assert json.loads(out)["error"]["class"] == "SyntaxError"
+
+    def test_ascii_forms_still_parse(self):
+        text = ("[algebra]\ndim = +2\nbracket e01 e2 = 1 e1\n[metric]\nrow = +1 0\n"
+                "row = 0 -1\n[complex_structure]\nrow = 0 -1\nrow = 1 0\n")
+        s = parse_structure(text)
+        assert s.dim == 2 and s.algebra.bracket_basis(0, 1) == (1, 0)
+
+
 class TestCommands:
     def test_check_n7(self, tmp_path, capsys):
         path = tmp_path / "n7.txt"

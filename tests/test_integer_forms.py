@@ -1,0 +1,407 @@
+"""Integer forms computed once per object, against the Fraction routines
+they replaced, which are kept here as the reference.
+
+Covers the validation of AntiHermitianStructure, the Connection that stores
+integer Christoffel numerators, the Ricci-based predicates, the Killing
+anti-invariance, Nijenhuis and theta tests of ``check``, and the lazily
+filled ``Matrix.integer_form``, which no reader may change.  Inputs are the
+seeded stream structures of ``test_j_contractions`` (dims 4 and 6, half of
+them after a random rational basis change) and the catalog.
+"""
+
+import json
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_j_contractions import SPECIAL, j_candidates, structures
+
+from antikahler import catalog, geometry
+from antikahler.classify4 import make_family_case2, transform_structure
+from antikahler.cli.main import main
+from antikahler.cli.textio import format_structure
+from antikahler.geometry import (
+    AntiHermitianStructure,
+    BadJSquareError,
+    Connection,
+    NotAntiIsometryError,
+    SingularMetricError,
+    abelian_j_connection,
+    curvature,
+    is_einstein,
+    is_ricci_flat,
+    killing_anti_invariant,
+    levi_civita,
+    ricci,
+    second_derivatives_commute,
+)
+from antikahler.liealg import nijenhuis, nijenhuis_is_zero
+from antikahler.scalars import (
+    DimensionMismatchError,
+    Matrix,
+    SingularMatrixError,
+    basis_vector,
+    clear_denominators,
+    format_rational,
+)
+from antikahler.theta import (
+    ThetaTensor,
+    anti_kahler_via_theta,
+    theta_connection_form,
+    theta_is_pure,
+    theta_is_skew,
+)
+from antikahler.verifier import GeneratorConfig, random_invertible_matrix, random_structure
+
+# ---------------------------------------------------------------------------
+# reference implementations, one Fraction operation per entry
+
+
+def ref_mul(a, b):
+    cols = list(zip(*b.rows))
+    return Matrix([[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols]
+                   for row in a.rows])
+
+
+def ref_validate(algebra, g, j_map):
+    """The checks of AntiHermitianStructure.__init__ on Fraction products."""
+    n = algebra.dim
+    if g.nrows != n or g.ncols != n or j_map.nrows != n or j_map.ncols != n:
+        raise DimensionMismatchError("g and J must be dim x dim")
+    if ref_mul(j_map, j_map) != -Matrix.identity(n):
+        raise BadJSquareError("J^2 != -I")
+    if not g.is_symmetric():
+        raise NotAntiIsometryError("metric matrix is not symmetric")
+    try:
+        g.inverse()
+    except SingularMatrixError:
+        raise SingularMetricError("metric matrix is singular") from None
+    if ref_mul(ref_mul(j_map.transpose(), g), j_map) != -g:
+        raise NotAntiIsometryError("g(Jx, Jy) != -g(x, y)")
+
+
+def outcome(fn, *args):
+    """(exception type, message) that fn(*args) raises, or None."""
+    try:
+        fn(*args)
+    except (DimensionMismatchError, BadJSquareError, NotAntiIsometryError,
+            SingularMetricError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def ref_operators(s):
+    """Koszul formula entry by entry: M_i[k][j] = Gamma^k_ij."""
+    n, alg, g = s.dim, s.algebra, s.g
+
+    def low(a, b, k):
+        w = alg.bracket_basis(a, b)
+        return sum((w[m] * g[m][k] for m in range(n) if w[m]), Fraction(0))
+
+    ops = []
+    for i in range(n):
+        rhs = Matrix([[(low(i, j, k) - low(j, k, i) + low(k, i, j)) / 2 for j in range(n)]
+                      for k in range(n)])
+        ops.append(ref_mul(s.g_inv, rhs))
+    return ops
+
+
+def ref_abelian_operators(s):
+    """nabla_{e_i} e_c = 1/2 ([e_i, e_c] - J [e_i, J e_c])."""
+    n, alg, j = s.dim, s.algebra, s.J
+    half = Fraction(1, 2)
+    ops = []
+    for i in range(n):
+        cols = []
+        for c in range(n):
+            twisted = j.apply(alg.bracket(basis_vector(n, i), j.col(c)))
+            cols.append(tuple(half * (a - b) for a, b in zip(alg.bracket_basis(i, c), twisted)))
+        ops.append(Matrix.from_cols(cols))
+    return ops
+
+
+def ref_second_derivatives_commute(conn):
+    ops = conn.operators
+    return all(ref_mul(ops[i], ops[j]) == ref_mul(ops[j], ops[i])
+               for i in range(conn.dim) for j in range(i + 1, conn.dim))
+
+
+def ref_is_einstein(s):
+    rc, _ = ricci(s)
+    n = s.dim
+    lam = next(rc[i][j] / s.g[i][j] for i in range(n) for j in range(n) if s.g[i][j])
+    return (True, lam) if rc == lam * s.g else (False, None)
+
+
+def ref_killing_anti_invariant(s):
+    b = s.algebra.killing_form()
+    return ref_mul(ref_mul(s.J.transpose(), b), s.J) == -b
+
+
+def ref_theta_is_skew(theta):
+    n = theta.dim
+    return all(theta(j, i, k) == -theta(i, j, k) and theta(i, k, j) == -theta(i, j, k)
+               for i in range(n) for j in range(n) for k in range(n))
+
+
+def ref_theta_is_pure(theta, j_map):
+    n = theta.dim
+
+    def moved(slot):
+        out = []
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    idx = (i, j, k)
+                    total = Fraction(0)
+                    for m in range(n):
+                        sub = list(idx)
+                        sub[slot] = m
+                        total += j_map[m][idx[slot]] * theta(*sub)
+                    out.append(total)
+        return out
+
+    return moved(0) == moved(1) == moved(2)
+
+
+def stream_and_catalog():
+    """The catalog, non-flat Einstein structures whose metrics have
+    denominators, and stream structures at dims 4 and 6; each of the last
+    two also after a basis change."""
+    sl2c = catalog.get("sl2c_killing").structure
+    out = list(SPECIAL)
+    einstein = [AntiHermitianStructure(sl2c.algebra, c * sl2c.g, sl2c.J)
+                for c in (Fraction(2, 3), Fraction(-5, 7))]
+    einstein += [make_family_case2(1, 0, 0, 0), make_family_case2(Fraction(1, 2), 0, 3, 0)]
+    stream = [random_structure(GeneratorConfig(dim=dim, master_seed=5), index)
+              for dim, count in ((4, 12), (6, 6)) for index in range(count)]
+    for index, s in enumerate(einstein + stream):
+        out.append(s)
+        out.append(transform_structure(
+            s, random_invertible_matrix(random.Random(index), s.dim, 2)))
+    return out
+
+
+FIXED = stream_and_catalog()
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@st.composite
+def near_misses(draw):
+    """(algebra, g, J): a valid stream triple, or one with an entry of J or
+    g changed (g symmetrically, so that the anti-isometry test decides), a
+    singular or non-symmetric g, or a J that is not a complex structure."""
+    s = draw(structures(dims=(4, 6)))
+    n = s.dim
+    g = [list(row) for row in s.g.rows]
+    j = [list(row) for row in s.J.rows]
+    kind = draw(st.sampled_from(("valid", "j", "g", "g-sym", "singular", "j-candidate")))
+    i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    delta = draw(st.fractions(min_value=-2, max_value=2, max_denominator=3).filter(bool))
+    if kind == "j":
+        j[i][k] += delta
+    elif kind == "g":
+        g[i][k] += delta
+    elif kind == "g-sym":
+        g[i][k] += delta
+        if i != k:
+            g[k][i] += delta
+    elif kind == "singular":
+        g[i] = [Fraction(0)] * n
+        for row in g:
+            row[i] = Fraction(0)
+    elif kind == "j-candidate":
+        candidate = draw(j_candidates())
+        j = [list(row) for row in candidate.rows]
+    return s.algebra, Matrix(g), Matrix(j)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+class TestValidation:
+    @given(near_misses())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_checks(self, case):
+        algebra, g, j = case
+        want = outcome(ref_validate, algebra, g, j)
+        assert outcome(AntiHermitianStructure, algebra, g, j) == want
+        if want is None:
+            s = AntiHermitianStructure(algebra, g, j)
+            assert s.g is g and s.J is j
+            assert s.g_inv == g.inverse()
+
+    def test_catalog_and_fixed(self):
+        for s in FIXED:
+            assert ref_validate(s.algebra, s.g, s.J) is None
+            assert AntiHermitianStructure(s.algebra, s.g, s.J) == s
+
+
+class TestConnection:
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_levi_civita_matches_fraction_operators(self, s):
+        self.assert_matches(s)
+
+    def test_fixed(self):
+        for s in FIXED:
+            self.assert_matches(s)
+
+    @staticmethod
+    def assert_matches(s):
+        s = AntiHermitianStructure(s.algebra, s.g, s.J)  # no memo shared with other tests
+        n = s.dim
+        ops = ref_operators(s)
+        conn, reference = levi_civita(s), Connection(ops)
+        assert conn == reference and reference == conn
+        # the reduced denominator is the lcm of the reduced Fraction denominators
+        assert conn._den == math.lcm(*(x.denominator for m in ops for row in m.rows
+                                       for x in row))
+        assert (conn._numerators, conn._den) == (reference._numerators, reference._den)
+        assert conn._operators is None
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    got = conn.gamma(i, j, k)
+                    assert type(got) is Fraction and got == ops[i][k][j]
+        assert conn.component_texts() == [
+            [[format_rational(ops[i][k][j]) for k in range(n)] for j in range(n)]
+            for i in range(n)]
+        assert all(conn.nabla_basis(i) == ops[i] for i in range(n))
+        assert conn.operators == tuple(ops)
+        assert all(type(x) is Fraction for m in conn.operators for row in m.rows for x in row)
+        # curvature from the integer connection equals that of the Fraction one
+        mine, theirs = curvature(s), curvature(s, reference)
+        assert mine._numerators == theirs._numerators and mine._den == theirs._den
+
+    @given(structures())
+    @settings(max_examples=30, deadline=None)
+    def test_abelian_formula_and_commuting_derivatives(self, s):
+        ops = ref_abelian_operators(s)
+        got = abelian_j_connection(s)
+        assert got == Connection(ops)
+        assert got.operators == tuple(ops)
+        for conn in (levi_civita(s), got):
+            assert second_derivatives_commute(s, conn) == ref_second_derivatives_commute(conn)
+
+    def test_equality_across_entry_types(self):
+        s = catalog.get("sl2c_killing").structure
+        ops = levi_civita(s).operators
+        scaled = [m.map(lambda x: x * 6) for m in ops]
+        assert all(x.denominator == 1 for m in scaled for row in m.rows for x in row)
+        ints = Connection([m.map(int) for m in scaled])
+        assert ints == Connection(scaled)
+        assert ints != levi_civita(s)
+        assert Connection(ops) == levi_civita(s)
+
+
+class TestPredicates:
+    @given(structures())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fraction_predicates(self, s):
+        self.assert_matches(s)
+
+    def test_fixed(self):
+        for s in FIXED:
+            self.assert_matches(s)
+        # lambda is tested where it is nonzero and g has a denominator
+        assert any(is_einstein(s)[1] and s.g.integer_form[2] > 1 for s in FIXED)
+
+    @staticmethod
+    def assert_matches(s):
+        einstein = is_einstein(s)
+        assert einstein == ref_is_einstein(s)
+        assert einstein[1] is None or type(einstein[1]) is Fraction
+        assert is_ricci_flat(s) == ricci(s)[0].is_zero()
+        assert killing_anti_invariant(s) == ref_killing_anti_invariant(s)
+        table = nijenhuis(s.algebra, s.J)
+        assert nijenhuis_is_zero(s.algebra, s.J) == all(not any(v) for row in table
+                                                         for v in row)
+        theta = theta_connection_form(s)
+        assert anti_kahler_via_theta(s) == (ref_theta_is_skew(theta)
+                                            and ref_theta_is_pure(theta, s.J))
+        assert theta_is_skew(theta) == ref_theta_is_skew(theta)
+        assert theta_is_pure(theta, s.J) == ref_theta_is_pure(theta, s.J)
+
+    @given(st.integers(0, 10**6), st.sampled_from(("none", "12", "23", "all")))
+    @settings(max_examples=80, deadline=None)
+    def test_skew_on_random_tensors(self, seed, symmetry):
+        """Random tensors, antisymmetrized over no slots, one pair of slots or all."""
+        rng = random.Random(seed)
+        n = rng.choice((2, 3, 4))
+        t = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+              for _ in range(n)] for _ in range(n)]
+        signs = {"none": {(0, 1, 2): 1}, "12": {(0, 1, 2): 1, (1, 0, 2): -1},
+                 "23": {(0, 1, 2): 1, (0, 2, 1): -1},
+                 "all": {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+                         (1, 0, 2): -1, (0, 2, 1): -1, (2, 1, 0): -1}}[symmetry]
+
+        def value(i, j, k):
+            idx = (i, j, k)
+            return sum(sign * t[idx[p[0]]][idx[p[1]]][idx[p[2]]] for p, sign in signs.items())
+
+        theta = ThetaTensor([[[value(i, j, k) for k in range(n)] for j in range(n)]
+                             for i in range(n)])
+        assert theta_is_skew(theta) == ref_theta_is_skew(theta)
+        assert theta_is_skew(theta) == (symmetry == "all" or theta.is_zero())
+
+
+class TestIntegerFormCache:
+    @given(st.lists(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                             min_size=3, max_size=3), min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_readers_leave_it_unchanged(self, rows):
+        m = Matrix(rows)
+        form = m.integer_form
+        snapshot = json.dumps(form)
+        ints, den = clear_denominators(rows)
+        assert form == (ints, [list(col) for col in zip(*ints)], den)
+        m.det()
+        m.rank()
+        if m.det():
+            m.inverse()
+        m * m
+        m.transpose() * m
+        m * Matrix.identity(3)
+        assert m.integer_form is form
+        assert json.dumps(m.integer_form) == snapshot
+
+    def test_structure_readers_leave_it_unchanged(self):
+        s = random_structure(GeneratorConfig(dim=6, master_seed=5), 4)
+        forms = [(m, json.dumps(m.integer_form)) for m in (s.g, s.J, s.g_inv)]
+        is_einstein(s)
+        killing_anti_invariant(s)
+        anti_kahler_via_theta(s)
+        second_derivatives_commute(s)
+        twin = AntiHermitianStructure(s.algebra, s.J.transpose() * s.g, s.J)
+        levi_civita(twin)
+        assert all(json.dumps(m.integer_form) == snap for m, snap in forms)
+
+
+class TestNoFractionOperators:
+    """Machine check and classify read the connection's integers only."""
+
+    @pytest.mark.parametrize("name,command", [
+        ("n7_J-1", "check"), ("sl2c_killing", "check"), ("affC_std", "check"),
+        ("affC_std", "classify"), ("r-1-1_std", "classify")])
+    def test_commands(self, tmp_path, capsys, monkeypatch, name, command):
+        connections = []
+
+        class RecordingConnection(geometry.Connection):
+            def _store(self, *args):
+                super()._store(*args)
+                connections.append(self)
+
+        monkeypatch.setattr(geometry, "Connection", RecordingConnection)
+        path = tmp_path / "s.txt"
+        path.write_text(format_structure(catalog.get(name).structure))
+        assert main([command, str(path), "--output", "machine"]) == 0
+        capsys.readouterr()
+        assert connections
+        assert all(c._operators is None for c in connections)

@@ -59,7 +59,8 @@ class TestRationalText:
     def test_parse(self, token, value):
         assert parse_rational(token) == value
 
-    @pytest.mark.parametrize("token", ["3.5", "1/0", "x", "1 /2", "--3", ""])
+    @pytest.mark.parametrize("token", ["3.5", "1/0", "x", "1 /2", "--3", "",
+                                       "\u0661", "1/\u0662", "\u00b2", "1_0", "\uff11"])
     def test_rejects(self, token):
         with pytest.raises(ValueError):
             parse_rational(token)
