@@ -34,7 +34,6 @@ from .scalars import (
     GaussianRational,
     Matrix,
     gaussian_sqrt,
-    rational_sqrt,
 )
 
 VERDICT_ABELIAN = "abelian"
@@ -57,7 +56,7 @@ class NormalizationFailedError(ValueError):
 
 
 class WitnessDerivationError(RuntimeError):
-    """Neither the printed witness nor the re-derivation produced a map."""
+    """A stated witness matrix failed exact verification."""
 
 
 class InequivalentParametersError(ValueError):
@@ -453,7 +452,6 @@ class EquivalenceWitness:
     """(g, J)-preserving isomorphism between two family members."""
 
     matrix: Matrix
-    path: str  # "printed" or "re-derived"
     printed_inverse_consistent: Optional[bool] = None
 
 
@@ -461,9 +459,8 @@ def equivalence_witness_case1(a, b, eps: int) -> EquivalenceWitness:
     """Structure-preserving isomorphism mu_{1,0,+1} -> mu_{a,b,eps}.
 
     The stated matrix (prefactor 1/(2(a^2+b^2)), r = a^2+b^2+1,
-    s = a^2+b^2-1) is verified exactly; if it failed, the witness would be
-    re-derived by the exact O(2, C)-shaped solve, and the path records
-    which route produced it.
+    s = a^2+b^2-1) is returned only after it is verified exactly; a failed
+    verification raises WitnessDerivationError.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
@@ -489,198 +486,10 @@ def equivalence_witness_case1(a, b, eps: int) -> EquivalenceWitness:
 
     src = make_family_case1(1, 0, 1)
     dst = make_family_case1(a, b, eps)
-    ok = verify_isomorphism(phi, src.algebra, dst.algebra,
-                            g_src=src.g, g_dst=dst.g, j_src=src.J, j_dst=dst.J)
-    if ok:
-        return EquivalenceWitness(phi, "printed", inverse_consistent)
-    solved = _solve_case1_witness(src, dst)
-    return EquivalenceWitness(solved, "re-derived", inverse_consistent)
-
-
-def _solve_case1_witness(src: AntiHermitianStructure,
-                         dst: AntiHermitianStructure) -> Matrix:
-    """Exact re-derivation of a structure-preserving family isomorphism.
-
-    Every bracket isomorphism mu_{1,0,+1} -> mu_{a,b,eps} factors as
-    phi_dst^{-1} A phi_src through the canonical-form isomorphisms, where A
-    runs over the automorphisms of r(-1,-1):
-
-        A: e1 -> e1 + w2 e2 + w3 e3 + w4 e4,  e2 -> t e2,
-           span{e3, e4} -> GL(2) image
-
-    which is linear in its eight parameters.  Commutation with J is an
-    affine-linear constraint; the metric condition is then solved on the
-    remaining low-dimensional affine family by repeated elimination of its
-    purely linear equations, with a rational univariate-quadratic tail.
-    """
-    phi_src = case1_isomorphism(*_family1_params(src))
-    phi_dst = case1_isomorphism(*_family1_params(dst))
-    target = r_minus_one_minus_one()
-    if not (verify_isomorphism(phi_src, src.algebra, target)
-            and verify_isomorphism(phi_dst, dst.algebra, target)):
-        raise WitnessDerivationError(
-            "canonical-form isomorphisms failed; cannot parametrize witnesses")
-    phi_dst_inv = phi_dst.inverse()
-
-    base = [[Fraction(0)] * 4 for _ in range(4)]
-    base[0][0] = Fraction(1)
-    offset = phi_dst_inv * Matrix(base) * phi_src
-    directions = []
-    for (r, c) in ((1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)):
-        unit = [[Fraction(0)] * 4 for _ in range(4)]
-        unit[r][c] = Fraction(1)
-        directions.append(phi_dst_inv * Matrix(unit) * phi_src)
-
-    j_map, metric = src.J, src.g
-    rows, rhs = [], []
-    drift = offset * j_map - j_map * offset
-    for i in range(4):
-        for j in range(4):
-            rows.append([(d * j_map - j_map * d)[i][j] for d in directions])
-            rhs.append(-drift[i][j])
-    solved = _affine_solve(rows, rhs)
-    if solved is None:
-        raise WitnessDerivationError("no J-commuting bracket isomorphism exists")
-    particular, homogeneous = solved
-    point = _affine_combo(offset, directions, particular)
-    family = [_linear_combo(directions, h) for h in homogeneous]
-
-    for candidate in _solve_metric_condition(point, family, metric):
-        if verify_isomorphism(candidate, src.algebra, dst.algebra,
-                              g_src=src.g, g_dst=dst.g,
-                              j_src=src.J, j_dst=dst.J):
-            return candidate
-    raise WitnessDerivationError("case-1 witness re-derivation failed")
-
-
-def _family1_params(s: AntiHermitianStructure) -> tuple:
-    coeffs = extract_coefficients(s)
-    return _case1_parameters(coeffs)
-
-
-def _affine_solve(rows: list, rhs: list) -> Optional[tuple]:
-    """Solve rows . x = rhs exactly: (particular, nullspace basis) or None."""
-    ncols = len(rows[0])
-    work = [list(row) + [value] for row, value in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for c in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        head = work[rank][c]
-        work[rank] = [x / head for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][c] != 0:
-                factor = work[r][c]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[rank])]
-        pivots.append(c)
-        rank += 1
-    if any(not any(row[:ncols]) and row[ncols] != 0 for row in work):
-        return None
-    particular = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        particular[c] = work[row_idx][ncols]
-    return particular, Matrix(rows).nullspace()
-
-
-def _affine_combo(offset: Matrix, directions: list, values: list) -> Matrix:
-    out = offset
-    for value, direction in zip(values, directions):
-        if value:
-            out = out + value * direction
-    return out
-
-
-def _linear_combo(directions: list, values) -> Matrix:
-    out = None
-    for value, direction in zip(values, directions):
-        term = value * direction
-        out = term if out is None else out + term
-    return out
-
-
-def _solve_metric_condition(point: Matrix, family: list, metric: Matrix):
-    """Candidates psi in the affine family with psi^T g psi = g.
-
-    Rounds of elimination: equations whose quadratic part vanishes are
-    affine-linear and shrink the family; the process ends with either a
-    single candidate or a one-parameter family whose rational quadratic
-    roots are enumerated.  Witnesses with irrational coordinates (none are
-    expected over this family) are reported as a derivation failure.
-    """
-    for _ in range(10):
-        if not family:
-            return [point] if (point.transpose() * metric * point) == metric else []
-        const = point.transpose() * metric * point - metric
-        linear = [point.transpose() * metric * h + h.transpose() * metric * point
-                  for h in family]
-        quad = {}
-        for a, ha in enumerate(family):
-            for b in range(a, len(family)):
-                hb = family[b]
-                quad[(a, b)] = (ha.transpose() * metric * hb
-                                + (hb.transpose() * metric * ha
-                                   if a != b else Matrix.zeros(4, 4)))
-        lin_rows, lin_rhs = [], []
-        saw_quadratic = False
-        for i in range(4):
-            for j in range(i, 4):
-                has_quad = any(m[i][j] != 0 for m in quad.values())
-                has_lin = any(m[i][j] != 0 for m in linear)
-                if has_quad:
-                    saw_quadratic = True
-                    continue
-                if has_lin:
-                    lin_rows.append([m[i][j] for m in linear])
-                    lin_rhs.append(-const[i][j])
-                elif const[i][j] != 0:
-                    return []
-        if lin_rows:
-            solved = _affine_solve(lin_rows, lin_rhs)
-            if solved is None:
-                return []
-            particular, homogeneous = solved
-            point = _affine_combo(point, family, particular)
-            family = [_linear_combo(family, h) for h in homogeneous]
-            continue
-        if not saw_quadratic:
-            return [point]
-        if len(family) == 1:
-            return _solve_univariate(point, family[0], const, linear, quad)
-        raise WitnessDerivationError(
-            "metric condition left a multivariate quadratic system")
-    raise WitnessDerivationError("metric elimination did not terminate")
-
-
-def _solve_univariate(point: Matrix, direction: Matrix, const: Matrix,
-                      linear: list, quad: dict) -> list:
-    """Rational roots of the remaining single-parameter quadratic system."""
-    roots: Optional[set] = None
-    for i in range(4):
-        for j in range(i, 4):
-            a = quad[(0, 0)][i][j]
-            b = linear[0][i][j]
-            c = const[i][j]
-            if a == 0 and b == 0:
-                if c != 0:
-                    return []
-                continue
-            if a == 0:
-                eq_roots = {-c / b}
-            else:
-                disc = b * b - 4 * a * c
-                root = rational_sqrt(disc) if disc >= 0 else None
-                if root is None:
-                    return []
-                eq_roots = {(-b + root) / (2 * a), (-b - root) / (2 * a)}
-            roots = eq_roots if roots is None else roots & eq_roots
-            if not roots:
-                return []
-    if roots is None:
-        return [point]
-    return [point + t * direction for t in sorted(roots)]
+    if not verify_isomorphism(phi, src.algebra, dst.algebra,
+                              g_src=src.g, g_dst=dst.g, j_src=src.J, j_dst=dst.J):
+        raise WitnessDerivationError("stated case-1 equivalence witness failed verification")
+    return EquivalenceWitness(phi, inverse_consistent)
 
 
 def equivalent_case2(t: Sequence, t_other: Sequence) -> bool:

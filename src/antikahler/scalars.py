@@ -258,6 +258,37 @@ def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, i
     return pivots, prev, sign
 
 
+def _gauss_jordan(rows: list, ncols: int, stop_at_gap: bool = False) -> tuple[list, object]:
+    """Gauss-Jordan elimination over the entries' field in place on the first
+    ncols columns: each pivot row is divided by its pivot and the pivot column
+    cleared in every other row.  Stops at the first column without a pivot when
+    stop_at_gap is set.  Returns the pivot columns and the signed product of
+    the pivots (Fraction(1) times each pivot, negated at each row swap)."""
+    nrows = len(rows)
+    pivots, product = [], Fraction(1)
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((q for q in range(r, nrows) if not _is_zero(rows[q][c])), None)
+        if p is None:
+            if stop_at_gap:
+                break
+            continue
+        if p != r:
+            rows[r], rows[p] = rows[p], rows[r]
+            product = -product
+        piv = rows[r][c]
+        product = product * piv
+        top = rows[r] = [x / piv for x in rows[r]]
+        for q in range(nrows):
+            if q != r and not _is_zero(rows[q][c]):
+                f = rows[q][c]
+                rows[q] = [x - f * y for x, y in zip(rows[q], top)]
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return pivots, product
+
+
 def _all_fractions(rows) -> bool:
     return all(type(x) is Fraction for row in rows for x in row)
 
@@ -283,10 +314,17 @@ class Matrix:
     @property
     def integer_form(self) -> tuple[list, list, int]:
         """(N, N^T, d) with self = N / d and d the lcm of the denominators,
-        computed on first use.  Entries must be rational; the lists are
-        shared by every reader, so none may mutate them."""
+        computed on first use.  Entries must be rational, or ValueError names
+        the first entry that is not; the lists are shared by every reader, so
+        none may mutate them."""
         if self._integer_form is None:
-            rows, den = clear_denominators(self.rows)
+            try:
+                rows, den = clear_denominators(self.rows)
+            except AttributeError:
+                i, j, x = next((i, j, x) for i, row in enumerate(self.rows)
+                               for j, x in enumerate(row) if not isinstance(x, (int, Fraction)))
+                raise ValueError(f"integer form needs rational entries; entry ({i}, {j}) "
+                                 f"is {type(x).__name__} {x}") from None
             object.__setattr__(self, "_integer_form",
                                (rows, [list(col) for col in zip(*rows)], den))
         return self._integer_form
@@ -401,67 +439,19 @@ class Matrix:
             rows, _, den = self.integer_form
             pivots, last, sign = _bareiss([list(row) for row in rows], n)
             return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
-        work = [list(row) for row in self.rows]
-        det = Fraction(1)
-        for c in range(n):
-            pivot_row = next((r for r in range(c, n) if not _is_zero(work[r][c])), None)
-            if pivot_row is None:
-                return Fraction(0) * det
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                det = -det
-            pivot = work[c][c]
-            det = det * pivot
-            for r in range(c + 1, n):
-                if not _is_zero(work[r][c]):
-                    factor = work[r][c] / pivot
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
-        return det
+        pivots, product = _gauss_jordan([list(row) for row in self.rows], n, stop_at_gap=True)
+        return product if len(pivots) == n else Fraction(0) * product
 
     def rank(self) -> int:
         if _all_fractions(self.rows):
             return len(_bareiss([list(row) for row in self.integer_form[0]], self.ncols)[0])
-        work = [list(row) for row in self.rows]
-        nrows, ncols = self.nrows, self.ncols
-        rank = 0
-        for c in range(ncols):
-            pivot_row = next((r for r in range(rank, nrows)
-                              if not _is_zero(work[r][c])), None)
-            if pivot_row is None:
-                continue
-            work[rank], work[pivot_row] = work[pivot_row], work[rank]
-            pivot = work[rank][c]
-            for r in range(nrows):
-                if r != rank and not _is_zero(work[r][c]):
-                    factor = work[r][c] / pivot
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-            rank += 1
-            if rank == nrows:
-                break
-        return rank
+        return len(_gauss_jordan([list(row) for row in self.rows], self.ncols)[0])
 
     def nullspace(self) -> list[tuple]:
         """Basis of the exact kernel, via reduced row echelon form."""
-        nrows, ncols = self.nrows, self.ncols
+        ncols = self.ncols
         work = [list(row) for row in self.rows]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            pivot_row = next((p for p in range(r, nrows)
-                              if not _is_zero(work[p][c])), None)
-            if pivot_row is None:
-                continue
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-            pivot = work[r][c]
-            work[r] = [a / pivot for a in work[r]]
-            for p in range(nrows):
-                if p != r and not _is_zero(work[p][c]):
-                    factor = work[p][c]
-                    work[p] = [a - factor * b for a, b in zip(work[p], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        pivots, _ = _gauss_jordan(work, ncols)
         free = [c for c in range(ncols) if c not in pivots]
         basis = []
         for f in free:
@@ -485,24 +475,10 @@ class Matrix:
             if len(pivots) < n:
                 raise SingularMatrixError("matrix is singular")
             return Matrix(fractions_over(([den * x for x in row[n:]] for row in work), last))
-        work = [list(row) for row in self.rows]
-        out = [list(row) for row in Matrix.identity(n).rows]
-        for c in range(n):
-            pivot_row = next((r for r in range(c, n) if not _is_zero(work[r][c])), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot_row != c:
-                work[c], work[pivot_row] = work[pivot_row], work[c]
-                out[c], out[pivot_row] = out[pivot_row], out[c]
-            pivot = work[c][c]
-            work[c] = [a / pivot for a in work[c]]
-            out[c] = [a / pivot for a in out[c]]
-            for r in range(n):
-                if r != c and not _is_zero(work[r][c]):
-                    factor = work[r][c]
-                    work[r] = [a - factor * b for a, b in zip(work[r], work[c])]
-                    out[r] = [a - factor * b for a, b in zip(out[r], out[c])]
-        return Matrix(out)
+        work = [list(row) + list(unit) for row, unit in zip(self.rows, Matrix.identity(n).rows)]
+        if len(_gauss_jordan(work, n, stop_at_gap=True)[0]) < n:
+            raise SingularMatrixError("matrix is singular")
+        return Matrix(row[n:] for row in work)
 
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(a) for a in row] for row in self.rows])

@@ -38,9 +38,10 @@ from antikahler.geometry import (
     ricci,
     second_derivatives_commute,
 )
-from antikahler.liealg import nijenhuis, nijenhuis_is_zero
+from antikahler.liealg import LieAlgebra, nijenhuis, nijenhuis_is_zero
 from antikahler.scalars import (
     DimensionMismatchError,
+    GaussianRational,
     Matrix,
     SingularMatrixError,
     basis_vector,
@@ -241,6 +242,19 @@ class TestValidation:
         for s in FIXED:
             assert ref_validate(s.algebra, s.g, s.J) is None
             assert AntiHermitianStructure(s.algebra, s.g, s.J) == s
+
+    def test_gaussian_j_is_rejected(self):
+        i, zero = GaussianRational(Fraction(0), Fraction(1)), GaussianRational(Fraction(0))
+        g = Matrix.diagonal([Fraction(1), Fraction(-1)])
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) is GaussianRational"):
+            AntiHermitianStructure(LieAlgebra.abelian(2), g, Matrix([[i, zero], [zero, i]]))
+
+    def test_gaussian_metric_is_rejected(self):
+        i = GaussianRational(Fraction(0), Fraction(1))
+        g = Matrix([[Fraction(1), i], [i, Fraction(1)]])
+        j = Matrix([[Fraction(0), Fraction(-1)], [Fraction(1), Fraction(0)]])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is GaussianRational"):
+            AntiHermitianStructure(LieAlgebra.abelian(2), g, j)
 
 
 class TestConnection:

@@ -55,7 +55,7 @@ from antikahler.theta import (
 )
 from antikahler.verifier import (
     GeneratorConfig,
-    _float_det_nonzero,
+    _well_conditioned,
     random_anti_hermitian_metric,
     random_complex_structure,
     random_gaussian_rational,
@@ -250,7 +250,7 @@ def ref_random_metric(algebra, j_map, rng, bound=4, max_tries=200):
                 z = random_gaussian_rational(rng, bound)
                 gram[p][q] = gram[q][p] = z
         s_matrix = Matrix(gram)
-        if not _float_det_nonzero(s_matrix) or s_matrix.det() == 0:
+        if not _well_conditioned(s_matrix) or s_matrix.det() == 0:
             continue
         coords = [tuple(GaussianRational(frame_inv.col(i)[2 * p], frame_inv.col(i)[2 * p + 1])
                         for p in range(m)) for i in range(n)]
@@ -267,7 +267,7 @@ def ref_random_metric(algebra, j_map, rng, bound=4, max_tries=200):
                 row.append(total.re)
             rows.append(row)
         g = Matrix(rows)
-        if _float_det_nonzero(g) and g.det() != 0:
+        if _well_conditioned(g) and g.det() != 0:
             return AntiHermitianStructure(algebra, g, j_map)
     raise RuntimeError("exhausted retries")
 

@@ -1,11 +1,13 @@
 """Byte-stability gate: sha256 digests of exact CLI reports.
 
-The check and verify digests were recorded before the integer J-contraction
-and fraction-free elimination kernels replaced the Fraction code paths; the
-curvature, human check and classify digests were recorded before machine
+The check and dim-4 verify digests were recorded before the integer
+J-contraction and fraction-free elimination kernels replaced the Fraction code
+paths; the curvature, human check and classify digests before machine
 curvature text was formatted from integer numerators and before the CLI
-stopped building the report it does not print.  So any change that alters
-a computed verdict, count, number or line fails here.
+stopped building the report it does not print; the dim-6 verify digests
+before det, rank, nullspace and inverse over Q(i) were merged into one
+Gauss-Jordan routine.  So any change that alters a computed verdict, count,
+number or line fails here.
 """
 
 import hashlib
@@ -48,6 +50,31 @@ VERIFY_DIGESTS = {
     "curvature_purity": "2ea77208111ecf2836efad38cae8557730fde61b1d7e540c0f897fd6d396d5c1",
     "integrability": "654e3b566f663bec82fdcb5c68f19245f2f7580461a0e3cf342e8622ecc348e9",
     "koszul_laws": "79271fbded1e444a8dc695bb0c1d445bfe37f65a0cd6200689a452a4d5ff197f",
+}
+
+# verify <suite> --seed 1000 --dim 6 --output machine (default 12 samples):
+# the generator's Gram matrices over Q(i) are 3x3 here, 2x2 at dim 4
+VERIFY_DIGESTS_DIM6 = {
+    "neutral_signature": "ba91ef4906246a95a9229d9ac0db8d1356a3a31d5e4b2f4bcdb8cd8649ce7d95",
+    "complexified_form": "5ee662e76493a18d819e702f749a37c53a0b2d37546449410e836972706e9ee7",
+    "group_equality": "11410963cb7133c31ff1396f30062555f7af5c7627d921174dc11621ee1da538",
+    "nabla_j_symmetric": "61d3a561ac14ae5e4bdfab987df6cfbdbb6e9f0d767df81f66af8272d8263fd0",
+    "epsilon_parallelism": "e9db4d4a859fb777de7ad0b654257c4324c17940a8c85e44f9b8395fadcfcbf5",
+    "connection_rules": "1f4c16d1605ec7e6552b99a095faa1d1d317b7ff7f16fdf25a320ce1d7f53aeb",
+    "bi_invariant_j_anti_kahler":
+        "51df3e49e71d78c1cbff806b62feaab4d1bc5fd070d14e20e5ac5faaa49eb97a",
+    "killing_metric_einstein": "6dad0e22ef527638dc964e9a1cb6301ec76c4114e7a3ad98758e90064fc2aeef",
+    "abelian_j_obstructions": "809d38121b8662cc24b3991af3751028fb8a0ff956c6a4d925c31ece246ffde2",
+    "abelian_implies_flat": "84eff6cf61cab0e138184092918058d9286028584de40c593e3a5ba7d87f9c87",
+    "worked_example_n7": "a33977b915455f739b3d4cb2ac903e59746a22039d121007cea19556a6ace61e",
+    "theta_iff_antikahler": "e5fbaaf23d0b8cc6ea551149f5e155556c5f5c058bb118a14b7cc0f70c2595d7",
+    "dim4_classification": "a9f602c2189d5d857a9dbcfecf433d33aa1030e3ddb67c2913f5c2482e200cf8",
+    "case2_moduli": "cfb853da0b844ebd72355d497e18af16bdb77056b7014b8250bdc6274597be63",
+    "case2_curvature": "f6076baeecb63876cdfa1434954b8e2bf8e2d0ea5d2a4f2505ef54b7f2106c92",
+    "twin_metric": "8365b04050cf88e81cc6b96dc743f505a1f77022d61c60ea5e053d0a99ffb67a",
+    "curvature_purity": "8af9bbcce9d99f257ceed7c0b388de4475e0fb069e4e4efb0911f7cb0b776ab2",
+    "integrability": "6576245411ff903523e55d53b97a7304f96b6b2bb3ea883b6dbca21c15757cf6",
+    "koszul_laws": "284ce00c44eac3593b1011a419b3e5b3f01cd589e0293ef72106696806c6a73f",
 }
 
 
@@ -103,7 +130,7 @@ def digest_of(capsys, *argv):
 
 
 def test_every_suite_is_pinned():
-    assert set(VERIFY_DIGESTS) == set(list_suites())
+    assert set(VERIFY_DIGESTS) == set(VERIFY_DIGESTS_DIM6) == set(list_suites())
 
 
 @pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
@@ -118,6 +145,12 @@ def test_check_report(name, tmp_path, capsys):
 def test_verify_report(suite, capsys):
     assert digest_of(capsys, "verify", suite, "--seed", "1000", "--dim", "4",
                      "--output", "machine") == (0, VERIFY_DIGESTS[suite])
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_DIGESTS_DIM6))
+def test_verify_report_dim6(suite, capsys):
+    assert digest_of(capsys, "verify", suite, "--seed", "1000", "--dim", "6",
+                     "--output", "machine") == (0, VERIFY_DIGESTS_DIM6[suite])
 
 
 @pytest.fixture(scope="module")

@@ -423,6 +423,39 @@ def reference_inverse(rows):
     return out
 
 
+def reference_nullspace(rows):
+    """Kernel basis from reduced row echelon form over the entries' field, as
+    Matrix.nullspace did before one Gauss-Jordan routine served det, rank,
+    nullspace and inverse."""
+    nrows, ncols = len(rows), len(rows[0])
+    work = [list(row) for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((p for p in range(r, nrows) if work[p][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        pivot = work[r][c]
+        work[r] = [a / pivot for a in work[r]]
+        for p in range(nrows):
+            if p != r and work[p][c] != 0:
+                factor = work[p][c]
+                work[p] = [a - factor * b for a, b in zip(work[p], work[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row_idx, c in enumerate(pivots):
+            vec[c] = -work[row_idx][f]
+        basis.append(tuple(vec))
+    return basis
+
+
 @st.composite
 def elimination_operands(draw, entries=rational_entries, square=None):
     """Matrices with zero rows, dependent rows and huge denominators drawn often."""
@@ -447,12 +480,22 @@ def assert_same_matrix(got: Matrix, want_rows):
             assert_same_scalar(got_x, want_x)
 
 
+def assert_same_nullspace(m: Matrix, rows):
+    got, want = m.nullspace(), reference_nullspace(rows)
+    assert len(got) == len(want)
+    for got_vec, want_vec in zip(got, want):
+        assert len(got_vec) == len(want_vec)
+        for got_x, want_x in zip(got_vec, want_vec):
+            assert_same_scalar(got_x, want_x)
+
+
 class TestFractionFreeElimination:
     @given(elimination_operands())
     @settings(max_examples=200, deadline=None)
     def test_matches_field_elimination(self, rows):
         m = Matrix(rows)
         assert m.rank() == reference_rank(rows)
+        assert_same_nullspace(m, rows)
         if not m.is_square():
             return
         assert_same_scalar(m.det(), reference_det(rows))
@@ -488,6 +531,7 @@ class TestFractionFreeElimination:
     def test_gaussian_and_mixed_keep_the_field_path(self, rows):
         m = Matrix(rows)
         assert m.rank() == reference_rank(rows)
+        assert_same_nullspace(m, rows)
         if not m.is_square():
             return
         assert_same_scalar(m.det(), reference_det(rows))

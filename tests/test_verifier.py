@@ -1,17 +1,21 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
 from antikahler import catalog
-from antikahler.cli.textio import parse_structure
+from antikahler.cli.textio import format_structure, parse_structure
 from antikahler.classify4 import standard_j
 from antikahler.geometry import is_anti_kahler
 from antikahler.liealg import LieAlgebra
-from antikahler.scalars import signature
+from antikahler.scalars import GaussianRational, Matrix, signature
 from antikahler.verifier import (
     PROPOSITIONS,
     SUITES,
     GeneratorConfig,
     SuiteReport,
     UnknownSuiteError,
+    _well_conditioned,
     list_suites,
     random_anti_hermitian_metric,
     random_complex_structure,
@@ -44,7 +48,6 @@ class TestDeterminism:
 class TestGenerators:
     def test_random_complex_structure(self):
         rng = sample_rng(GeneratorConfig(master_seed=3), 0)
-        from antikahler.scalars import Matrix
         j = random_complex_structure(rng, 4, 3)
         assert j * j == -Matrix.identity(4)
 
@@ -71,6 +74,31 @@ class TestGenerators:
         cfg = GeneratorConfig(master_seed=55, samples=12, dim=4)
         verdicts = {is_anti_kahler(random_structure(cfg, i)) for i in range(12)}
         assert verdicts == {True, False}
+
+
+class TestConditioningFilter:
+    """The generators' float filter rejects some nonsingular draws, and the
+    stream depends on which: these cases pin what it does."""
+
+    def test_rejects_ill_conditioned_nonsingular(self):
+        m = Matrix([[Fraction(1), Fraction(1)], [Fraction(1), 1 + Fraction(1, 10**10)]])
+        assert m.det() != 0
+        assert not _well_conditioned(m)
+
+    def test_reads_only_real_parts(self):
+        m = Matrix([[GaussianRational(Fraction(0), Fraction(1))]])
+        assert m.det() != 0
+        assert not _well_conditioned(m)
+
+    # at dim 6, master seed 2, samples 60 and 113 are drawn after the filter
+    # rejected a nonsingular 6x6 metric (exact det about -1.1e-4 and -6.5e-2)
+    @pytest.mark.parametrize("index,digest", [
+        (60, "e635850c5a7f0a3a1537da4c9f0d763b6f032dba1bfc3fdf4f9a26f1a6ffccf9"),
+        (113, "db595524ef74ff93c1a55a03d5d882144d86cf8d5e58030f8f16865ac1be7e93"),
+    ])
+    def test_stream_samples_it_shapes(self, index, digest):
+        s = random_structure(GeneratorConfig(master_seed=2, dim=6), index)
+        assert hashlib.sha256(format_structure(s).encode()).hexdigest() == digest
 
 
 class TestRegistry:
