@@ -22,6 +22,7 @@ from ..classify4 import (
     classify,
 )
 from ..geometry import (
+    _ricci,
     curvature,
     curvature_is_pure,
     is_anti_kahler,
@@ -31,7 +32,6 @@ from ..geometry import (
     is_ricci_flat,
     killing_anti_invariant,
     levi_civita,
-    ricci,
 )
 from ..liealg import (
     LieAlgebra,
@@ -200,11 +200,11 @@ def _cmd_curvature(args) -> int:
     s = obj
     conn = levi_civita(s)
     r = curvature(s, conn)
-    rc, ric = ricci(s, conn)
+    rc, ric = _ricci(s, conn)
     n = s.dim
     gamma = conn.component_texts()
     riemann = r.component_texts()
-    ricci_rows = [[format_rational(x) for x in row] for row in rc.rows]
+    ricci_rows = rc.texts()
     if args.output == "machine":
         print(json.dumps({
             "command": "curvature",
@@ -212,7 +212,7 @@ def _cmd_curvature(args) -> int:
             "gamma": gamma,
             "riemann": riemann,
             "ricci": ricci_rows,
-            "ricci_operator": [[format_rational(x) for x in row] for row in ric.rows],
+            "ricci_operator": ric.texts(),
         }, indent=2, sort_keys=True))
         return 0
     for i in range(n):

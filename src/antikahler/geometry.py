@@ -12,7 +12,6 @@ slot, Rc_jk = sum_i R^i_ijk.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -27,11 +26,8 @@ from .scalars import (
     GaussianRational,
     Matrix,
     SingularMatrixError,
+    Tensor,
     basis_vector,
-    clear_denominators,
-    contract,
-    format_quotient,
-    fractions_over,
     int_matmul,
     signature,
 )
@@ -114,63 +110,55 @@ def _j_anti_invariant(b: list, j: list, jt: list, dj: int) -> bool:
 class Connection:
     """Levi-Civita data: operators M_i with M_i column j = nabla_{e_i} e_j.
 
-    Stored as flat integer Christoffel numerators t[i][j][k] (coefficient of
-    e_k in nabla_{e_i} e_j) over one denominator that shares no factor with
-    all of them, which is the lcm of the reduced Fraction denominators.  The
-    Fraction operators are built on first read of ``operators``.
+    Stored as the Christoffel tensor Gamma[i][j][k] (coefficient of e_k in
+    nabla_{e_i} e_j) over its smallest denominator, which is the lcm of the
+    reduced Fraction denominators.  The Fraction operators are built on
+    first read of ``operators``.
     """
 
-    __slots__ = ("dim", "_numerators", "_den", "_operators")
+    __slots__ = ("tensor", "_operators")
 
     def __init__(self, operators: Sequence[Matrix]):
         operators = tuple(operators)
-        rows, den = clear_denominators(col for m in operators for col in zip(*m.rows))
-        self._store(len(operators), [x for row in rows for x in row], den, operators)
+        self._store(Tensor.of(len(operators), 3,
+                              (x for m in operators for col in zip(*m.rows) for x in col)),
+                    operators)
 
     @classmethod
-    def _from_numerators(cls, dim: int, t: list, den: int) -> "Connection":
-        """The connection t / den (den > 0), reduced by the gcd of all entries."""
-        g = math.gcd(den, *t)
+    def _of(cls, gamma: Tensor) -> "Connection":
+        """The connection with Christoffel tensor gamma, reduced."""
         conn = cls.__new__(cls)
-        conn._store(dim, [x // g for x in t] if g > 1 else t, den // g, None)
+        conn._store(gamma.reduced(), None)
         return conn
 
-    def _store(self, dim, t, den, operators):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_numerators", t)
-        object.__setattr__(self, "_den", den)
+    def _store(self, tensor, operators):
+        object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "_operators", operators)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
 
     @property
+    def dim(self) -> int:
+        return self.tensor.n
+
+    @property
     def operators(self) -> tuple:
         if self._operators is None:
-            object.__setattr__(self, "_operators", tuple(map(
-                Matrix.from_cols, _planes(self._numerators, self._den, self.dim))))
+            object.__setattr__(self, "_operators", tuple(map(Matrix.from_cols,
+                                                             self.tensor.fractions())))
         return self._operators
-
-    def _matrices(self) -> list:
-        """The integer operators N_i = M_i * den, as row lists N_i[k][j]."""
-        n, t = self.dim, self._numerators
-        columns = [t[p:p + n] for p in range(0, len(t), n)]  # nabla_{e_i} e_j at i * n + j
-        return [[list(row) for row in zip(*columns[i * n:(i + 1) * n])] for i in range(n)]
 
     def nabla_basis(self, i: int) -> Matrix:
         return self.operators[i]
 
     def gamma(self, i: int, j: int, k: int) -> Fraction:
         """Coefficient of e_k in nabla_{e_i} e_j."""
-        n = self.dim
-        return Fraction(self._numerators[(i * n + j) * n + k], self._den)
+        return self.tensor[i, j, k]
 
     def component_texts(self) -> list:
         """Every Gamma^k_{ij} as its exact rational string, out[i][j][k]."""
-        n, den = self.dim, self._den
-        texts = [format_quotient(x, den) for x in self._numerators]
-        return [[texts[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
-                for i in range(n)]
+        return self.tensor.texts()
 
     def nabla_direction(self, x: Sequence) -> Matrix:
         """Operator nabla_x = sum_i x_i nabla_{e_i}."""
@@ -187,33 +175,7 @@ class Connection:
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented
-        return (self.dim == other.dim and self._den == other._den
-                and self._numerators == other._numerators)
-
-
-def _bracket_rows(algebra: LieAlgebra) -> tuple[dict, int]:
-    """{(a, b): row} for the nonzero brackets, a < b, with [e_a, e_b] = row / d,
-    read from the structure tensor; and d."""
-    c, dc = _structure_tensor(algebra)
-    n = algebra.dim
-    return {(a, b): c[(a * n + b) * n:(a * n + b + 1) * n] for a, b in algebra._table}, dc
-
-
-def _lowered_brackets(s: AntiHermitianStructure) -> tuple[list, int]:
-    """Integers L and a denominator d with L[a][b][k] / d = g([e_a, e_b], e_k).
-
-    Each nonzero bracket is lowered once; rows of pairs with a zero bracket
-    are one shared zero row.
-    """
-    n = s.dim
-    brackets, dc = _bracket_rows(s.algebra)
-    g, _, dg = s.g.integer_form
-    zero = [0] * n
-    lowered = [[zero] * n for _ in range(n)]
-    for (a, b), row in zip(brackets, int_matmul(list(brackets.values()), g)):
-        lowered[a][b] = row
-        lowered[b][a] = [-x for x in row]
-    return lowered, dc * dg
+        return self.tensor == other.tensor
 
 
 def levi_civita(s: AntiHermitianStructure) -> Connection:
@@ -225,19 +187,10 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
     one shared denominator, and the connection keeps them as integers.
     """
     def build():
-        n = s.dim
-        lowered, den = _lowered_brackets(s)
-        g_inv, _, d_inv = s.g_inv.integer_form
-        t = []
-        for i in range(n):
-            low_i = lowered[i]
-            # rhs[j][k] = 2 g(nabla_{e_i} e_j, e_k) times the lowering denominator;
-            # g^{-1} is symmetric, so row j of rhs g^{-1} is nabla_{e_i} e_j
-            rhs = [[low_i[j][k] - lowered[j][k][i] + lowered[k][i][j]
-                    for k in range(n)] for j in range(n)]
-            for row in int_matmul(rhs, g_inv):
-                t += row
-        return Connection._from_numerators(n, t, 2 * den * d_inv)
+        low = _structure_tensor(s.algebra).pull(s.g, 2)  # g([e_i, e_j], e_k)
+        rhs = low - low.permute((2, 0, 1)) + low.permute((1, 2, 0))
+        # g^{-1} is symmetric, so contracting the last slot with it solves for nabla
+        return Connection._of(rhs.pull(s.g_inv, 2) / 2)
 
     return s._memo("levi_civita", build)
 
@@ -245,122 +198,81 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
 def nabla_j_operators(s: AntiHermitianStructure,
                       conn: Optional[Connection] = None) -> tuple[Matrix, ...]:
     """Operators (nabla_{e_i} J) = nabla_i J - J nabla_i; all zero iff anti-Kahler."""
-    return tuple(map(Matrix.from_cols, _planes(*_nabla_j(s, conn or levi_civita(s)), s.dim)))
+    return tuple(map(Matrix.from_cols, _nabla_j(s, conn or levi_civita(s)).fractions()))
 
 
-def _nabla_j(s: AntiHermitianStructure, conn: Connection) -> tuple[list, int]:
-    """nabla_i J - J nabla_i laid out as the connection's numerators, and its
-    denominator."""
-    gamma = conn._numerators
-    j, jt, dj = s.J.integer_form
-    return [a - b for a, b in zip(contract(gamma, j, 1), contract(gamma, jt, 2))], conn._den * dj
+def _nabla_j(s: AntiHermitianStructure, conn: Connection) -> Tensor:
+    """nabla_i J - J nabla_i laid out as the connection's tensor."""
+    return conn.tensor.pull(s.J, 1) - conn.tensor.push(s.J, 2)
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
-    def build():
-        return not any(_nabla_j(s, levi_civita(s))[0])
-    return s._memo("anti_kahler", build)
+    return s._memo("anti_kahler", lambda: _nabla_j(s, levi_civita(s)).is_zero())
 
 
 class CurvatureTensor:
-    """R(e_i, e_j) as operators for i < j, with the g-lowered form available.
+    """R(e_i, e_j) as operators, with the g-lowered form available.
 
-    The operators are kept as integer numerators over one shared denominator,
-    read by the Ricci trace, the J tests and component_texts; op, component
-    and lowered build their Fraction form on first use.
+    Stored as the tensor R[i][j][k][l] = R^l_{ijk}, the coefficient of e_l in
+    R(e_i, e_j) e_k, for every pair (i, j).  op, component and lowered read
+    it; the Fraction operators ``_ops`` (keys i < j) are built on first read.
     """
 
-    __slots__ = ("dim", "g", "_fraction_ops", "_numerators", "_den")
+    __slots__ = ("g", "tensor", "_fraction_ops")
 
-    def __init__(self, dim: int, g: Matrix, numerators: dict, den: int):
-        object.__setattr__(self, "dim", dim)
+    def __init__(self, g: Matrix, tensor: Tensor):
         object.__setattr__(self, "g", g)
+        object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "_fraction_ops", None)
-        object.__setattr__(self, "_numerators", numerators)
-        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("CurvatureTensor is immutable")
 
     @property
+    def dim(self) -> int:
+        return self.tensor.n
+
+    @property
     def _ops(self) -> dict:
         if self._fraction_ops is None:
+            n = self.dim
             object.__setattr__(self, "_fraction_ops", {
-                key: Matrix(fractions_over(rows, self._den))
-                for key, rows in self._numerators.items()})
+                (i, j): self.op(i, j) for i in range(n) for j in range(i + 1, n)})
         return self._fraction_ops
 
     def op(self, i: int, j: int) -> Matrix:
         """Operator R(e_i, e_j); antisymmetric in (i, j) by construction."""
-        if i == j:
-            return Matrix.zeros(self.dim, self.dim)
-        if i < j:
-            return self._ops[(i, j)]
-        return -self._ops[(j, i)]
+        return Matrix.from_cols(self.tensor[i, j].fractions())
 
     def component(self, i: int, j: int, k: int, l: int) -> Fraction:
         """R^l_{ijk}: coefficient of e_l in R(e_i, e_j) e_k."""
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return self._ops[(i, j)][l][k]
-        return -self._ops[(j, i)][l][k]
+        return self.tensor[i, j, k, l]
 
     def lowered(self, i: int, j: int, k: int, l: int) -> Fraction:
         """R_{ijkl} = g(R(e_i, e_j) e_k, e_l)."""
-        if i == j:
-            return Fraction(0)
-        rows = self._ops[(i, j) if i < j else (j, i)].rows
-        g = self.g
-        total = sum((row[k] * g[m][l] for m, row in enumerate(rows) if row[k]),
-                    Fraction(0))
-        return total if i < j else -total
+        return self.tensor[i, j, k].pull(self.g, 0)[l]
 
     def is_zero(self) -> bool:
-        return not any(x for rows in self._numerators.values() for row in rows for x in row)
+        return self.tensor.is_zero()
 
     def component_texts(self) -> list:
-        """Every R^l_{ijk} as its exact rational string, out[i][j][k][l].
-
-        Formatted from the integer numerators, one gcd per nonzero entry of
-        the i < j blocks; the i > j blocks are those strings negated and the
-        i = j blocks are "0".
-        """
-        n, den = self.dim, self._den
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            out[i][i] = [["0"] * n for _ in range(n)]
-        for (i, j), rows in self._numerators.items():
-            block = [[format_quotient(x, den) for x in col] for col in zip(*rows)]
-            out[i][j] = block
-            out[j][i] = [[t if t == "0" else t[1:] if t[0] == "-" else "-" + t for t in col]
-                         for col in block]
-        return out
-
-    def _flat(self) -> list:
-        """Numerators as one flat tensor T[i][j][l][k] = R(e_i, e_j)[l][k], all i, j."""
-        n, nums = self.dim, self._numerators
-        blocks = [nums[(i, j)] if i < j else [[-x for x in row] for row in nums[(j, i)]]
-                  if i > j else [[0] * n] * n for i in range(n) for j in range(n)]
-        return [x for block in blocks for row in block for x in row]
+        """Every R^l_{ijk} as its exact rational string, out[i][j][k][l],
+        formatted from the integer numerators."""
+        return self.tensor.texts()
 
 
-def _pair_blocks(n: int, mirror: bool = False) -> list:
-    """Slices of the i < j blocks R(e_i, e_j), or of R(e_j, e_i) if mirror, in _flat."""
-    size = n * n
-    pairs = [(j, i) if mirror else (i, j) for i in range(n) for j in range(i + 1, n)]
-    return [slice((a * n + b) * size, (a * n + b + 1) * size) for a, b in pairs]
+def _memo_own(s: AntiHermitianStructure, conn: Optional[Connection], key: str, build):
+    """build(None) memoized on s under key when conn is None or is s's own
+    memoized levi_civita(s); any other connection builds build(conn) fresh."""
+    if conn is None or conn is s._cache.get("levi_civita"):
+        return s._memo(key, lambda: build(None))
+    return build(conn)
 
 
-def _planes(t: list, den: int, n: int) -> list:
-    """A flat order-3 integer tensor over den as Fraction rows: out[i][j] = t[i][j][:]."""
-    return [fractions_over((t[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)), den)
-            for i in range(n)]
-
-
-def _foreign(s: AntiHermitianStructure, conn: Optional[Connection]):
-    """conn, or None when it is the structure's own memoized levi_civita(s)."""
-    return None if conn is s._cache.get("levi_civita") else conn
+def _second_derivatives(gamma: Tensor) -> Tensor:
+    """nabla_{e_i} nabla_{e_j} e_k laid out as [i][j][k][l] (coefficient of
+    e_l), from sum_m Gamma[j][k][m] Gamma[i][m][l]."""
+    return gamma.dot(gamma.permute((1, 0, 2))).permute((2, 0, 1, 3))
 
 
 def curvature(s: AntiHermitianStructure,
@@ -370,31 +282,14 @@ def curvature(s: AntiHermitianStructure,
     The tensor is memoized on s when conn is None or is s's own memoized
     levi_civita(s); any other connection builds a fresh, unmemoized tensor.
     """
-    conn_in = _foreign(s, conn)
+    def build(conn):
+        gamma = (conn or levi_civita(s)).tensor
+        twice = _second_derivatives(gamma)
+        # nabla_{[e_i, e_j]} e_k = sum_m C_ij^m nabla_{e_m} e_k
+        bracket = _structure_tensor(s.algebra).dot(gamma)
+        return CurvatureTensor(s.g, twice - twice.permute((1, 0, 2, 3)) - bracket)
 
-    def build():
-        c = conn_in or levi_civita(s)
-        n = s.dim
-        brackets, dw = _bracket_rows(s.algebra)
-        nums, d = c._matrices(), c._den
-        # R(e_i, e_j) = (N_i N_j - N_j N_i) / d^2 - sum_l (w_l / dw) N_l / d
-        numerators = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                ab, ba = int_matmul(nums[i], nums[j]), int_matmul(nums[j], nums[i])
-                r = [[(x - y) * dw for x, y in zip(ab_row, ba_row)]
-                     for ab_row, ba_row in zip(ab, ba)]
-                for l, wl in enumerate(brackets.get((i, j), ())):
-                    if wl:
-                        scale = d * wl
-                        r = [[x - scale * y for x, y in zip(r_row, n_row)]
-                             for r_row, n_row in zip(r, nums[l])]
-                numerators[(i, j)] = r
-        return CurvatureTensor(n, s.g, numerators, d * d * dw)
-
-    if conn_in is None:
-        return s._memo("curvature", build)
-    return build()
+    return _memo_own(s, conn, "curvature", build)
 
 
 def ricci(s: AntiHermitianStructure,
@@ -405,33 +300,17 @@ def ricci(s: AntiHermitianStructure,
     Ric = g^{-1} Rc.  Memoized, together with the curvature it traces, under
     the same rule as curvature(): when conn is None or s's own levi_civita(s).
     """
-    conn_in = _foreign(s, conn)
-
-    def build():
-        if conn_in is None:
-            rc, den = _ricci_numerators(s)
-        else:
-            rc, den = _ricci_trace(curvature(s, conn_in))
-        g_inv, _, d_inv = s.g_inv.integer_form
-        ric = Matrix(fractions_over(int_matmul(g_inv, rc), d_inv * den))
-        return Matrix(fractions_over(rc, den)), ric
-
-    if conn_in is None:
-        return s._memo("ricci", build)
-    return build()
+    return _memo_own(s, conn, "ricci",
+                     lambda conn: tuple(Matrix(t.fractions()) for t in _ricci(s, conn)))
 
 
-def _ricci_trace(r: CurvatureTensor) -> tuple[list, int]:
-    """Integer rows rc and a denominator d with Rc_jk = rc[j][k] / d."""
-    n, nums = r.dim, r._numerators
-    # Rc_jk = sum_i R(e_i, e_j)[i][k], read from the stored i < j numerators
-    return [[sum(nums[(i, j)][i][k] if i < j else -nums[(j, i)][i][k]
-                 for i in range(n) if i != j) for k in range(n)] for j in range(n)], r._den
+def _ricci(s: AntiHermitianStructure, conn: Optional[Connection] = None) -> tuple:
+    """ricci(s, conn) as the tensors (Rc, Ric), memoized the same way."""
+    def build(conn):
+        rc = curvature(s, conn).tensor.trace(0, 3)
+        return rc, rc.push(s.g_inv, 0)
 
-
-def _ricci_numerators(s: AntiHermitianStructure) -> tuple[list, int]:
-    """_ricci_trace of the structure's own curvature, memoized on s."""
-    return s._memo("ricci_numerators", lambda: _ricci_trace(curvature(s)))
+    return _memo_own(s, conn, "ricci_tensors", build)
 
 
 def is_flat(s: AntiHermitianStructure) -> bool:
@@ -445,53 +324,50 @@ def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
     Rc = rc / d and g = G / dg, lambda = rc_ij dg / (d G_ij) for that entry
     (i, j), and Rc = lambda g reads rc G_ij = rc_ij G on the integers.
     """
-    rc, den = _ricci_numerators(s)
+    rc = _ricci(s)[0]
     g, _, dg = s.g.integer_form
-    i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x)
-    gij, rij = g[i][j], rc[i][j]
-    if all(x * gij == rij * y for rc_row, g_row in zip(rc, g) for x, y in zip(rc_row, g_row)):
-        return True, Fraction(rij * dg, den * gij)
+    g = [x for row in g for x in row]
+    p = next(p for p, x in enumerate(g) if x)
+    gij, rij = g[p], rc.nums[p]
+    if all(x * gij == rij * y for x, y in zip(rc.nums, g)):
+        return True, Fraction(rij * dg, rc.den * gij)
     return False, None
 
 
 def is_ricci_flat(s: AntiHermitianStructure) -> bool:
-    return not any(x for row in _ricci_numerators(s)[0] for x in row)
+    return _ricci(s)[0].is_zero()
 
 
 def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     """Lowered curvature is pure: moving J across any slot preserves it,
     R(Jx,y,z,w) = R(x,Jy,z,w) = R(x,y,Jz,w) = R(x,y,z,Jw) on the basis.
 
-    J is g-symmetric and g invertible, so on integer numerators this is, for
+    J is g-symmetric and g invertible, so on the operators this reads, for
     i < j, R(e_i, e_j) J = J R(e_i, e_j) = sum_m J_mi R(e_m, e_j) =
-    sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i)."""
-    t = curvature(s)._flat()
-    j, jt, _ = s.J.integer_form
-    blocks = _pair_blocks(s.dim)
+    sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i).  The
+    first equation is tested block by block, so most failures exit early."""
+    r, j = curvature(s).tensor, s.J
+    pairs = [(a, b) for a in range(r.n) for b in range(a + 1, r.n)]
     right = []
-    for b in blocks:
-        right.append(contract(t[b], j, 1))
-        if right[-1] != contract(t[b], jt, 0):
+    for a, b in pairs:
+        block = r[a, b]
+        right.append(block.pull(j, 0))
+        if right[-1] != block.push(j, 1):
             return False
-    first = contract(t, j, 0)
-    return all(first[b] == rj and [-x for x in first[m]] == rj
-               for b, m, rj in zip(blocks, _pair_blocks(s.dim, mirror=True), right))
+    first = r.pull(j, 0)
+    return all(first[a, b] == rj and -first[b, a] == rj for (a, b), rj in zip(pairs, right))
 
 
 def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:
     """R(Je_i, Je_j) = -R(e_i, e_j) as operators."""
-    t = curvature(s)._flat()
-    j, _, dj = s.J.integer_form
-    rjj = contract(contract(t, j, 0), j, 1)
-    return all(rjj[b] == [-dj * dj * x for x in t[b]] for b in _pair_blocks(s.dim))
+    r = curvature(s).tensor
+    return r.pull(s.J, 0).pull(s.J, 1) == -r
 
 
 def is_bi_invariant_metric(s: AntiHermitianStructure) -> bool:
     """g([x,y], z) + g(y, [x,z]) = 0 on all basis triples (ad-invariance)."""
-    lowered, _ = _lowered_brackets(s)
-    n = s.dim
-    return all(lowered[i][j][k] + lowered[i][k][j] == 0
-               for i in range(n) for j in range(n) for k in range(n))
+    low = _structure_tensor(s.algebra).pull(s.g, 2)  # g([e_i, e_j], e_k)
+    return low.permute((0, 2, 1)) == -low
 
 
 def twin_metric(s: AntiHermitianStructure) -> AntiHermitianStructure:
@@ -563,26 +439,25 @@ def preserves_complexified_form(s: AntiHermitianStructure, t: Matrix) -> bool:
 def satisfies_abelian_connection_rule(s: AntiHermitianStructure,
                                       conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = -J nabla_x y on the basis."""
-    return _j_direction_rule(s, (conn or levi_civita(s))._numerators, -1)
+    return _j_direction_rule(s, (conn or levi_civita(s)).tensor, -1)
 
 
 def satisfies_bi_invariant_connection_rule(s: AntiHermitianStructure,
                                            conn: Optional[Connection] = None) -> bool:
     """nabla_{Jx} y = J nabla_x y on the basis."""
-    return _j_direction_rule(s, (conn or levi_civita(s))._numerators, 1)
+    return _j_direction_rule(s, (conn or levi_civita(s)).tensor, 1)
 
 
-def _j_direction_rule(s, t: list, sign) -> bool:
+def _j_direction_rule(s, t: Tensor, sign) -> bool:
     """sum_m J_mi M_m = sign J M_i for all i, operators M laid out as a
-    connection's numerators t[i][j][k] = M_i[k][j]."""
-    j, jt, _ = s.J.integer_form
-    return contract(t, j, 0) == [sign * x for x in contract(t, jt, 2)]
+    connection's tensor t[i][j][k] = M_i[k][j]."""
+    return t.pull(s.J, 0) == t.push(s.J, 2) * sign
 
 
 def epsilon_parallel_holds(s: AntiHermitianStructure, eps: int,
                            conn: Optional[Connection] = None) -> bool:
     """(nabla_{Jx} J) y = eps J (nabla_x J) y on the basis, eps in {+1, -1}."""
-    return _j_direction_rule(s, _nabla_j(s, conn or levi_civita(s))[0], eps)
+    return _j_direction_rule(s, _nabla_j(s, conn or levi_civita(s)), eps)
 
 
 def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
@@ -592,10 +467,8 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
     an abelian J; exposed independently so the Koszul path can be checked
     against it.
     """
-    c, dc = _structure_tensor(s.algebra)
-    j, jt, dj = s.J.integer_form
-    t = [dj * dj * a - b for a, b in zip(c, contract(contract(c, j, 1), jt, 2))]
-    return Connection._from_numerators(s.dim, t, 2 * dc * dj * dj)
+    c = _structure_tensor(s.algebra)
+    return Connection._of((c - c.pull(s.J, 1).push(s.J, 2)) / 2)
 
 
 def killing_anti_invariant(s: AntiHermitianStructure) -> bool:
@@ -606,7 +479,5 @@ def killing_anti_invariant(s: AntiHermitianStructure) -> bool:
 def second_derivatives_commute(s: AntiHermitianStructure,
                                conn: Optional[Connection] = None) -> bool:
     """nabla_{e_i} nabla_{e_j} = nabla_{e_j} nabla_{e_i} as operator tables."""
-    nums = (conn or levi_civita(s))._matrices()
-    n = s.dim
-    return all(int_matmul(nums[i], nums[j]) == int_matmul(nums[j], nums[i])
-               for i in range(n) for j in range(i + 1, n))
+    twice = _second_derivatives((conn or levi_civita(s)).tensor)
+    return twice == twice.permute((1, 0, 2, 3))

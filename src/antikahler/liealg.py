@@ -19,10 +19,9 @@ from typing import Mapping, Sequence
 from .scalars import (
     DimensionMismatchError,
     Matrix,
+    Tensor,
     basis_vector,
     clear_denominators,
-    contract,
-    fractions_over,
     int_matmul,
 )
 
@@ -196,19 +195,14 @@ class LieAlgebra:
     def killing_form(self) -> Matrix:
         """B_ij = trace(ad_{e_i} ad_{e_j}) = sum_kl C_ik^l C_jl^k; cached, symmetric."""
         if self._killing is None:
-            n = self.dim
-            c, den = _structure_tensor(self)
-            blocks = [c[a * n * n:(a + 1) * n * n] for a in range(n)]
-            flipped = [[b[l * n + k] for k in range(n) for l in range(n)] for b in blocks]
-            rows = [[sum(x * y for x, y in zip(blocks[i], flipped[j]) if x) for j in range(n)]
-                    for i in range(n)]
-            object.__setattr__(self, "_killing", Matrix(fractions_over(rows, den * den)))
+            c = _structure_tensor(self)
+            killing = c.dot(c.permute((2, 1, 0)), 2)
+            object.__setattr__(self, "_killing", Matrix(killing.fractions()))
         return self._killing
 
     def is_unimodular(self) -> bool:
         """trace(ad_{e_i}) = sum_k C_ik^k = 0 for every i."""
-        c, n = _structure_tensor(self)[0], self.dim
-        return not any(sum(c[(i * n + k) * n + k] for k in range(n)) for i in range(n))
+        return _structure_tensor(self).trace(1, 2).is_zero()
 
     def is_abelian(self) -> bool:
         return not self._table
@@ -219,10 +213,7 @@ class LieAlgebra:
 
     def center_dim(self) -> int:
         """dim ker(x -> ad_x): the rank of x -> ad_x is that of the rows C_i."""
-        c, den = _structure_tensor(self)
-        n = self.dim
-        return n - Matrix(fractions_over((c[i * n * n:(i + 1) * n * n] for i in range(n)),
-                                         den)).rank()
+        return self.dim - Matrix(_structure_tensor(self).rows()).rank()
 
 
 def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
@@ -237,73 +228,61 @@ def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
     return j, jt, dj
 
 
-def _structure_tensor(algebra: LieAlgebra) -> tuple[list, int]:
-    """Flat integer tensor C[a][b][k] (coefficient of e_k in [e_a, e_b]) over
-    one denominator; only the nonzero brackets are written.  Computed once per
-    algebra and shared, so no reader may mutate it."""
+def _structure_tensor(algebra: LieAlgebra) -> Tensor:
+    """C[a][b][k], the coefficient of e_k in [e_a, e_b], as one integer tensor.
+    Computed once per algebra and shared."""
     if algebra._structure is None:
-        n = algebra.dim
-        table = algebra._table
+        n, table = algebra.dim, algebra._table
         rows, den = clear_denominators(table.values())
-        flat = [0] * n ** 3
-        for (a, b), row in zip(table, rows):
-            flat[(a * n + b) * n:(a * n + b + 1) * n] = row
-            flat[(b * n + a) * n:(b * n + a + 1) * n] = [-x for x in row]
-        object.__setattr__(algebra, "_structure", (flat, den))
+        listed, zero = dict(zip(table, rows)), [0] * n
+        upper = Tensor(n, 3, [x for a in range(n) for b in range(n)
+                              for x in listed.get((a, b), zero)], den)
+        object.__setattr__(algebra, "_structure", upper - upper.permute((1, 0, 2)))
     return algebra._structure
 
 
-def _j_contractions(algebra: LieAlgebra, j_map: Matrix):
-    """C and J as integers: (C, dc, J, J^T, dj) with C = C/dc, J = J/dj.
-
-    Raises as check_complex_structure does, then DimensionMismatchError
-    unless J is dim x dim.
-    """
-    j, jt, dj = check_complex_structure(j_map)
-    if len(j) != algebra.dim:
+def _checked_structure(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
+    """The structure tensor, once J passes check_complex_structure and is
+    dim x dim (DimensionMismatchError otherwise)."""
+    check_complex_structure(j_map)
+    if j_map.nrows != algebra.dim:
         raise DimensionMismatchError("J must be dim x dim")
-    return (*_structure_tensor(algebra), j, jt, dj)
+    return _structure_tensor(algebra)
 
 
-def _nijenhuis_numerators(algebra: LieAlgebra, j_map: Matrix) -> tuple[list, int]:
-    """C(J x J) - J C(J x 1) - J C(1 x J) - C as a flat integer tensor laid out
-    as C, and its denominator."""
-    c, dc, j, jt, dj = _j_contractions(algebra, j_map)
-    cj = contract(c, j, 0)
-    sq = dj * dj
-    terms = zip(contract(cj, j, 1), contract(cj, jt, 2), contract(contract(c, j, 1), jt, 2), c)
-    return [a - b - e - sq * x for a, b, e, x in terms], dc * sq
+def _nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
+    """C(J x J) - J C(J x 1) - J C(1 x J) - C, laid out as C."""
+    c = _checked_structure(algebra, j_map)
+    cj = c.pull(j_map, 0)
+    return cj.pull(j_map, 1) - cj.push(j_map, 2) - c.pull(j_map, 1).push(j_map, 2) - c
 
 
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:
     """Table N(e_i, e_j) of [Jx,Jy] - J[Jx,y] - J[x,JY] - [x,y] on basis pairs.
 
     Vanishes identically iff J is integrable in the left-invariant sense.
-    Computed over integers by _nijenhuis_numerators.
+    Computed over integers by _nijenhuis.
     """
-    nums, den = _nijenhuis_numerators(algebra, j_map)
-    n = algebra.dim
-    vecs = fractions_over((nums[p:p + n] for p in range(0, len(nums), n)), den)
-    return tuple(tuple(tuple(vecs[i * n + k]) for k in range(n)) for i in range(n))
+    return _nijenhuis(algebra, j_map).fractions()
 
 
 def nijenhuis_is_zero(algebra: LieAlgebra, j_map: Matrix) -> bool:
-    return not any(_nijenhuis_numerators(algebra, j_map)[0])
+    return _nijenhuis(algebra, j_map).is_zero()
 
 
 def is_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs."""
-    c, _, j, _, dj = _j_contractions(algebra, j_map)
-    return contract(contract(c, j, 0), j, 1) == [dj * dj * x for x in c]
+    c = _checked_structure(algebra, j_map)
+    return c.pull(j_map, 0).pull(j_map, 1) == c
 
 
 def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, y] = J[x, y] on all basis pairs."""
-    c, _, j, jt, _ = _j_contractions(algebra, j_map)
-    return contract(c, j, 0) == contract(c, jt, 2)
+    c = _checked_structure(algebra, j_map)
+    return c.pull(j_map, 0) == c.push(j_map, 2)
 
 
 def is_anti_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
     """[Jx, Jy] = -[x, y] on all basis pairs."""
-    c, _, j, _, dj = _j_contractions(algebra, j_map)
-    return contract(contract(c, j, 0), j, 1) == [-dj * dj * x for x in c]
+    c = _checked_structure(algebra, j_map)
+    return c.pull(j_map, 0).pull(j_map, 1) == -c

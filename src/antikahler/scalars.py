@@ -2,12 +2,14 @@
 
 All computation in this package runs over the rationals or the Gaussian
 rationals, with arbitrary-precision integers underneath.  Matrices are
-immutable and field-generic: entries may be ``fractions.Fraction`` or
-:class:`GaussianRational`, mixed freely.
+immutable and field-generic: entries may be ``fractions.Fraction``, ``int``
+(taken as a rational) or :class:`GaussianRational`, mixed freely.  Derived
+tensors are :class:`Tensor` objects: integers over one denominator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -210,22 +212,193 @@ def fractions_over(rows: Iterable[Iterable[int]], den: int) -> list[list[Fractio
     return [[Fraction(x, den) if x else zero for x in row] for row in rows]
 
 
-def contract(t: list, m: Sequence[Sequence[int]], slot: int) -> list:
-    """out[.., i, ..] = sum_k m[k][i] t[.., k, ..] for a flat row-major integer
-    tensor t over n = len(m): m replaces e_i by m e_i in index `slot`, and m's
-    transpose applies m to that index.  Zero factors are skipped."""
-    n = len(m)
-    stride = len(t) // n ** (slot + 1)
-    if stride == 1:
-        return [x for row in int_matmul([t[p:p + n] for p in range(0, len(t), n)], m)
-                for x in row]
-    mt = [list(col) for col in zip(*m)]
-    out = []
-    for base in range(0, len(t), n * stride):
-        for row in int_matmul(mt, [t[base + k * stride:base + (k + 1) * stride]
-                                   for k in range(n)]):
-            out += row
-    return out
+@functools.lru_cache(maxsize=64)
+def _permutation(n: int, axes: tuple) -> list:
+    """Source offsets of Tensor.permute(axes) on side n, in result order."""
+    order = len(axes)
+    pos = [0]
+    for a in axes:
+        stride = n ** (order - 1 - a)
+        pos = [p + i * stride for p in pos for i in range(n)]
+    return pos
+
+
+class Tensor:
+    """Immutable exact tensor of order `order` on Q^n: the flat row-major
+    integer numerators `nums` over one positive denominator `den`.
+
+    The entry at index (i_0, ..., i_{r-1}) is nums[sum_a i_a n^(r-1-a)] / den;
+    no code outside this class knows that layout.  `nums` is shared by every
+    reader, so none may mutate it.  Equality compares values, whatever the
+    denominators.  Fractions are built only by indexing a full entry and by
+    `fractions`.
+    """
+
+    __slots__ = ("n", "order", "nums", "den")
+
+    def __init__(self, n: int, order: int, nums: list, den: int):
+        if len(nums) != n ** order or den <= 0:
+            raise DimensionMismatchError(
+                f"{len(nums)} numerators over {den} do not form an order-{order} tensor on Q^{n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def of(cls, n: int, order: int, entries: Iterable) -> "Tensor":
+        """The tensor of these flat row-major rationals, over their lcm denominator."""
+        (nums,), den = clear_denominators([list(entries)])
+        return cls(n, order, nums, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Tensor is immutable")
+
+    def __getitem__(self, index):
+        """The entry at a full index as a Fraction, or the sub-tensor at a shorter one."""
+        index = (index,) if isinstance(index, int) else tuple(index)
+        n, rest = self.n, self.order - len(index)
+        if rest < 0 or not all(0 <= i < n for i in index):
+            raise IndexError(f"index {index} out of range for an order-{self.order} "
+                             f"tensor on Q^{n}")
+        start = 0
+        for i in index:
+            start = start * n + i
+        if not rest:
+            return Fraction(self.nums[start], self.den)
+        size = n ** rest
+        return Tensor(n, rest, self.nums[start * size:(start + 1) * size], self.den)
+
+    def rows(self, k: int = 1) -> list:
+        """The numerators as a matrix whose rows are indexed by the first k slots."""
+        width = self.n ** (self.order - k)
+        return [self.nums[p:p + width] for p in range(0, len(self.nums), width)]
+
+    def _nest(self, flat: list, kind) -> object:
+        for _ in range(self.order - 1):
+            flat = [kind(flat[p:p + self.n]) for p in range(0, len(flat), self.n)]
+        return kind(flat)
+
+    def fractions(self) -> tuple:
+        """The entries as Fractions, in nested tuples out[i_0]...[i_{r-1}]."""
+        return self._nest(fractions_over([self.nums], self.den)[0], tuple)
+
+    def texts(self) -> list:
+        """The entries as str() of their Fractions, in nested lists, with no
+        Fraction and one gcd per distinct nonzero |entry|."""
+        den, known, out = self.den, {0: "0"}, []
+        for x in self.nums:
+            text = known.get(x)
+            if text is None:
+                text = known[x] = format_quotient(x, den)
+                known[-x] = text[1:] if x < 0 else "-" + text
+            out.append(text)
+        return self._nest(out, list)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def reduced(self) -> "Tensor":
+        """The same tensor over the smallest denominator."""
+        g = math.gcd(self.den, *self.nums)
+        return self if g == 1 else Tensor(self.n, self.order, [x // g for x in self.nums],
+                                          self.den // g)
+
+    def __eq__(self, other):
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        if (self.n, self.order) != (other.n, other.order):
+            return False
+        if self.den == other.den:
+            return self.nums == other.nums
+        a, b = other.den, self.den
+        return all(x * a == y * b for x, y in zip(self.nums, other.nums))
+
+    def _aligned(self, other: "Tensor") -> tuple[list, list, int]:
+        """Both numerator lists over the lcm of the two denominators, and it."""
+        if (self.n, self.order) != (other.n, other.order):
+            raise DimensionMismatchError("tensor shapes differ")
+        if self.den == other.den:
+            return self.nums, other.nums, self.den
+        den = math.lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return ([fa * x for x in self.nums] if fa > 1 else self.nums,
+                [fb * x for x in other.nums] if fb > 1 else other.nums, den)
+
+    def __add__(self, other: "Tensor") -> "Tensor":
+        a, b, den = self._aligned(other)
+        return Tensor(self.n, self.order, [x + y for x, y in zip(a, b)], den)
+
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        a, b, den = self._aligned(other)
+        return Tensor(self.n, self.order, [x - y for x, y in zip(a, b)], den)
+
+    def __mul__(self, k: int) -> "Tensor":
+        """k times the tensor, for an integer k."""
+        return Tensor(self.n, self.order, [k * x for x in self.nums], self.den)
+
+    def __neg__(self) -> "Tensor":
+        return self * -1
+
+    def __truediv__(self, k: int) -> "Tensor":
+        """The tensor divided by a positive integer k."""
+        return Tensor(self.n, self.order, self.nums, self.den * k)
+
+    def pull(self, m: "Matrix", slot: int) -> "Tensor":
+        """out[.., i, ..] = sum_k m[k][i] t[.., k, ..]: the argument e_i in
+        `slot` replaced by m e_i."""
+        rows, cols, den = m.integer_form
+        return Tensor(self.n, self.order, self._contract(rows, cols, slot), self.den * den)
+
+    def push(self, m: "Matrix", slot: int) -> "Tensor":
+        """out[.., i, ..] = sum_k m[i][k] t[.., k, ..]: m applied to the vector
+        held in `slot`."""
+        rows, cols, den = m.integer_form
+        return Tensor(self.n, self.order, self._contract(cols, rows, slot), self.den * den)
+
+    def _contract(self, m: list, mt: list, slot: int) -> list:
+        """sum_k m[k][i] t[.., k, ..] at i in `slot` for integer rows m with
+        transpose mt; zero factors are skipped."""
+        n, t = self.n, self.nums
+        stride = n ** (self.order - 1 - slot)
+        if stride == 1:
+            return [x for row in int_matmul(self.rows(self.order - 1), m) for x in row]
+        out = []
+        for base in range(0, len(t), n * stride):
+            for row in int_matmul(mt, [t[base + k * stride:base + (k + 1) * stride]
+                                       for k in range(n)]):
+                out += row
+        return out
+
+    def dot(self, other: "Tensor", depth: int = 1) -> "Tensor":
+        """Contraction of the last `depth` slots of self with the first `depth`
+        slots of other: out[a.., b..] = sum_k self[a.., k..] other[k.., b..]."""
+        nums = int_matmul(self.rows(self.order - depth), other.rows(depth))
+        return Tensor(self.n, self.order + other.order - 2 * depth,
+                      [x for row in nums for x in row], self.den * other.den)
+
+    def permute(self, axes: Sequence[int]) -> "Tensor":
+        """Slots reordered: slot a of the result is slot axes[a] of self, so
+        out[i_0, .., i_{r-1}] = t[j] with j[axes[a]] = i_a.  Trailing slots
+        that stay in place move as contiguous blocks."""
+        axes, nums, moved = tuple(axes), self.nums, len(axes)
+        while moved > 1 and axes[moved - 1] == moved - 1:
+            moved -= 1
+        size = self.n ** (self.order - moved)
+        if size == 1:
+            return Tensor(self.n, self.order, [nums[p] for p in _permutation(self.n, axes)],
+                          self.den)
+        out = []
+        for p in _permutation(self.n, axes[:moved]):
+            out += nums[p * size:(p + 1) * size]
+        return Tensor(self.n, self.order, out, self.den)
+
+    def trace(self, a: int, b: int) -> "Tensor":
+        """Contraction of slot a with slot b (a < b)."""
+        n, rest = self.n, tuple(s for s in range(self.order) if s not in (a, b))
+        nums, nn = self.permute(rest + (a, b)).nums, n * n
+        out = [sum(nums[p:p + nn:n + 1]) for p in range(0, len(nums), nn)]
+        return Tensor(n, self.order - 2, out, self.den)
 
 
 def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, int]:
@@ -263,7 +436,9 @@ def _gauss_jordan(rows: list, ncols: int, stop_at_gap: bool = False) -> tuple[li
     ncols columns: each pivot row is divided by its pivot and the pivot column
     cleared in every other row.  Stops at the first column without a pivot when
     stop_at_gap is set.  Returns the pivot columns and the signed product of
-    the pivots (Fraction(1) times each pivot, negated at each row swap)."""
+    the pivots (Fraction(1) times each pivot, negated at each row swap).
+    Integer entries are taken as Fractions, so no division leaves the field."""
+    rows[:] = [[Fraction(x) if type(x) is int else x for x in row] for row in rows]
     nrows = len(rows)
     pivots, product = [], Fraction(1)
     for c in range(ncols):
@@ -289,8 +464,8 @@ def _gauss_jordan(rows: list, ncols: int, stop_at_gap: bool = False) -> tuple[li
     return pivots, product
 
 
-def _all_fractions(rows) -> bool:
-    return all(type(x) is Fraction for row in rows for x in row)
+def _all_rational(rows) -> bool:
+    return all(type(x) is Fraction or type(x) is int for row in rows for x in row)
 
 
 class Matrix:
@@ -391,7 +566,7 @@ class Matrix:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}")
-            if _all_fractions(self.rows) and _all_fractions(other.rows):
+            if _all_rational(self.rows) and _all_rational(other.rows):
                 a, _, da = self.integer_form
                 b, _, db = other.integer_form
                 return Matrix(fractions_over(int_matmul(a, b), da * db))
@@ -431,11 +606,11 @@ class Matrix:
         return all(_is_zero(a) for row in self.rows for a in row)
 
     def det(self):
-        """Determinant; fraction-free in integers when every entry is a Fraction."""
+        """Determinant; fraction-free in integers when every entry is rational."""
         if not self.is_square():
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.nrows
-        if _all_fractions(self.rows):
+        if _all_rational(self.rows):
             rows, _, den = self.integer_form
             pivots, last, sign = _bareiss([list(row) for row in rows], n)
             return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
@@ -443,7 +618,7 @@ class Matrix:
         return product if len(pivots) == n else Fraction(0) * product
 
     def rank(self) -> int:
-        if _all_fractions(self.rows):
+        if _all_rational(self.rows):
             return len(_bareiss([list(row) for row in self.integer_form[0]], self.ncols)[0])
         return len(_gauss_jordan([list(row) for row in self.rows], self.ncols)[0])
 
@@ -468,7 +643,7 @@ class Matrix:
         if not self.is_square():
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
-        if _all_fractions(self.rows):
+        if _all_rational(self.rows):
             rows, _, den = self.integer_form
             work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
             pivots, last, _ = _bareiss(work, n, jordan=True)

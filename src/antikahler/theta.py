@@ -13,56 +13,60 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .geometry import AntiHermitianStructure, Connection, _planes, levi_civita
+from .geometry import AntiHermitianStructure, Connection, levi_civita
 from .liealg import _structure_tensor
-from .scalars import Matrix, clear_denominators, contract
+from .scalars import Matrix, Tensor
 
 
 class ThetaTensor:
     """Covariant 3-tensor over the basis of a validated structure."""
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("tensor",)
 
     def __init__(self, entries):
-        entries = tuple(tuple(tuple(x for x in row) for row in plane)
-                        for plane in entries)
-        object.__setattr__(self, "dim", len(entries))
-        object.__setattr__(self, "entries", entries)
+        entries = [[list(row) for row in plane] for plane in entries]
+        object.__setattr__(self, "tensor", Tensor.of(
+            len(entries), 3, (x for plane in entries for row in plane for x in row)))
+
+    @classmethod
+    def _of(cls, tensor: Tensor) -> "ThetaTensor":
+        theta = cls.__new__(cls)
+        object.__setattr__(theta, "tensor", tensor)
+        return theta
 
     def __setattr__(self, name, value):
         raise AttributeError("ThetaTensor is immutable")
 
+    @property
+    def dim(self) -> int:
+        return self.tensor.n
+
+    @property
+    def entries(self) -> tuple:
+        """The entries as Fractions, entries[i][j][k]."""
+        return self.tensor.fractions()
+
     def __call__(self, i: int, j: int, k: int) -> Fraction:
-        return self.entries[i][j][k]
+        return self.tensor[i, j, k]
 
     def __eq__(self, other):
         if not isinstance(other, ThetaTensor):
             return NotImplemented
-        return self.entries == other.entries
+        return self.tensor == other.tensor
 
     def is_zero(self) -> bool:
-        return all(x == 0 for plane in self.entries for row in plane for x in row)
+        return self.tensor.is_zero()
 
 
-def _cyclic_lowered(s: AntiHermitianStructure, t: list, den: int,
-                    cyclic: bool = True) -> tuple[list, int]:
-    """P(x, y, z) = g(v(x, y), z) or its cyclic sum, for v(e_i, e_j)_m = t[i][j][m] / den,
-    as a flat integer tensor P[i][j][k] and its denominator."""
-    g, _, dg = s.g.integer_form
-    n = s.dim
-    p = contract(t, g, 2)
-    if cyclic:
-        nn = n * n
-        p = [p[i * nn + j * n + k] + p[j * nn + k * n + i] + p[k * nn + i * n + j]
-             for i in range(n) for j in range(n) for k in range(n)]
-    return p, den * dg
+def _cyclic_lowered(s: AntiHermitianStructure, t: Tensor, cyclic: bool = True) -> Tensor:
+    """P(x, y, z) = g(v(x, y), z), or its cyclic sum, for v(e_i, e_j) = t[i][j]."""
+    p = t.pull(s.g, 2)
+    return p + p.permute((2, 0, 1)) + p.permute((1, 2, 0)) if cyclic else p
 
 
 def j_bracket_pairing(s: AntiHermitianStructure, cyclic: bool = False) -> ThetaTensor:
     """<[Jx, y], z> on basis triples, or its cyclic sum."""
-    c, dc = _structure_tensor(s.algebra)
-    j, _, dj = s.J.integer_form
-    return ThetaTensor(_planes(*_cyclic_lowered(s, contract(c, j, 0), dc * dj, cyclic), s.dim))
+    return ThetaTensor._of(_cyclic_lowered(s, _structure_tensor(s.algebra).pull(s.J, 0), cyclic))
 
 
 def theta_bracket_form(s: AntiHermitianStructure) -> ThetaTensor:
@@ -74,57 +78,47 @@ def theta_connection_form(s: AntiHermitianStructure,
                           conn: Optional[Connection] = None) -> ThetaTensor:
     """Cyclic sum of <D(., .), .> with D(x, y) = nabla_{Jx} y + J nabla_x y.
 
-    D(e_i, e_j) is read off the integer Christoffel numerators as
+    D(e_i, e_j) is read off the Christoffel tensor as
     sum_m J_mi nabla_{e_m} e_j + J nabla_{e_i} e_j and lowered once.
     """
-    return ThetaTensor(_planes(*_connection_theta(s, conn or levi_civita(s)), s.dim))
+    return ThetaTensor._of(_connection_theta(s, conn or levi_civita(s)))
 
 
-def _connection_theta(s: AntiHermitianStructure, conn: Connection) -> tuple[list, int]:
-    """theta_connection_form as a flat integer tensor and its denominator."""
-    gamma = conn._numerators
-    j, jt, dj = s.J.integer_form
-    d_ij = [a + b for a, b in zip(contract(gamma, j, 0), contract(gamma, jt, 2))]
-    return _cyclic_lowered(s, d_ij, conn._den * dj)
+def _connection_theta(s: AntiHermitianStructure, conn: Connection) -> Tensor:
+    """theta_connection_form as a tensor."""
+    gamma = conn.tensor
+    return _cyclic_lowered(s, gamma.pull(s.J, 0) + gamma.push(s.J, 2))
 
 
-def _numerators(theta: ThetaTensor) -> list:
-    """theta's entries as one flat integer tensor, up to a common positive factor."""
-    rows, _ = clear_denominators(row for plane in theta.entries for row in plane)
-    return [x for row in rows for x in row]
+def _is_skew(t: Tensor) -> bool:
+    """An order-3 tensor changes sign under the swaps (12) and (23), which
+    generate S_3."""
+    neg = -t
+    return t.permute((1, 0, 2)) == neg and t.permute((0, 2, 1)) == neg
 
 
-def _is_skew(t: list, n: int) -> bool:
-    """A flat order-3 tensor changes sign under the swaps (12) and (23),
-    which generate S_3."""
-    span = range(n)
-    neg = [-x for x in t]
-    return ([t[(j * n + i) * n + k] for i in span for j in span for k in span] == neg
-            and [t[(i * n + k) * n + j] for i in span for j in span for k in span] == neg)
-
-
-def _is_pure(t: list, j: list) -> bool:
-    """J moves freely between the slots of a flat order-3 tensor."""
-    t0 = contract(t, j, 0)
-    return t0 == contract(t, j, 1) and t0 == contract(t, j, 2)
+def _is_pure(t: Tensor, j_map: Matrix) -> bool:
+    """J moves freely between the slots of an order-3 tensor."""
+    t0 = t.pull(j_map, 0)
+    return t0 == t.pull(j_map, 1) and t0 == t.pull(j_map, 2)
 
 
 def theta_is_skew(theta: ThetaTensor) -> bool:
     """Full antisymmetry; the transpositions (12) and (23) generate S_3."""
-    return _is_skew(_numerators(theta), theta.dim)
+    return _is_skew(theta.tensor)
 
 
 def theta_is_pure(theta: ThetaTensor, j_map: Matrix) -> bool:
     """theta(Jx, y, z) = theta(x, Jy, z) = theta(x, y, Jz) on the basis."""
-    return _is_pure(_numerators(theta), j_map.integer_form[0])
+    return _is_pure(theta.tensor, j_map)
 
 
 def anti_kahler_via_theta(s: AntiHermitianStructure) -> bool:
     """Skewness + pureness of theta; an independent route to is_anti_kahler.
 
     Both tests read the integer numerators of the connection form."""
-    t, _ = _connection_theta(s, levi_civita(s))
-    return _is_skew(t, s.dim) and _is_pure(t, s.J.integer_form[0])
+    t = _connection_theta(s, levi_civita(s))
+    return _is_skew(t) and _is_pure(t, s.J)
 
 
 def tensor_ratio(top: ThetaTensor, bottom: ThetaTensor) -> Optional[Fraction]:
@@ -132,12 +126,13 @@ def tensor_ratio(top: ThetaTensor, bottom: ThetaTensor) -> Optional[Fraction]:
 
     Raises ArithmeticError when the tensors are not proportional.
     """
-    pairs = [(t, b) for t_plane, b_plane in zip(top.entries, bottom.entries)
-             for t_row, b_row in zip(t_plane, b_plane) for t, b in zip(t_row, b_row)]
-    ratios = {t / b for t, b in pairs if b}
-    if len(ratios) > 1 or any(t for t, b in pairs if not b):
+    t, b = top.tensor, bottom.tensor
+    p = next((p for p, x in enumerate(b.nums) if x), None)
+    tp, bp = (0, 1) if p is None else (t.nums[p], b.nums[p])
+    # top = c * bottom with c = (tp / t.den) / (bp / b.den), or top = 0 when bottom is
+    if any(x * bp != y * tp for x, y in zip(t.nums, b.nums)):
         raise ArithmeticError("theta forms are not proportional")
-    return ratios.pop() if ratios else None
+    return None if p is None else Fraction(tp * b.den, bp * t.den)
 
 
 def theta_form_ratio(s: AntiHermitianStructure) -> Optional[Fraction]:

@@ -58,8 +58,14 @@ from .geometry import (
     second_derivatives_commute,
     twin_metric,
 )
-from .liealg import LieAlgebra, is_abelian_j, is_bi_invariant_j, nijenhuis_is_zero
-from .scalars import GaussianRational, Matrix, basis_vector, signature
+from .liealg import (
+    LieAlgebra,
+    _structure_tensor,
+    is_abelian_j,
+    is_bi_invariant_j,
+    nijenhuis_is_zero,
+)
+from .scalars import GaussianRational, Matrix, signature
 from .theta import (
     anti_kahler_via_theta,
     j_bracket_pairing,
@@ -484,20 +490,8 @@ def _suite_killing_einstein(config: GeneratorConfig, report: SuiteReport):
 
 def _bi_invariant_curvature_identity(s: AntiHermitianStructure) -> bool:
     """R(x, y)z = -1/4 [[x, y], z] on all basis triples."""
-    r = curvature(s)
-    alg = s.algebra
-    n = alg.dim
-    quarter = Fraction(-1, 4)
-    for i in range(n):
-        for j in range(i + 1, n):
-            op = r.op(i, j)
-            w = alg.bracket_basis(i, j)
-            for k in range(n):
-                expected = tuple(quarter * x
-                                 for x in alg.bracket(w, basis_vector(n, k)))
-                if op.col(k) != expected:
-                    return False
-    return True
+    c = _structure_tensor(s.algebra)
+    return curvature(s).tensor * 4 == -c.dot(c)
 
 
 def _suite_abelian_obstructions(config: GeneratorConfig, report: SuiteReport):
@@ -512,17 +506,8 @@ def _suite_abelian_obstructions(config: GeneratorConfig, report: SuiteReport):
 
 def _bracket_identity_holds(s: AntiHermitianStructure) -> bool:
     """[J[x, y], z] = J[[x, y], z] on all basis triples."""
-    alg, j = s.algebra, s.J
-    n = alg.dim
-    for i in range(n):
-        for jdx in range(i + 1, n):
-            w = alg.bracket_basis(i, jdx)
-            jw = j.apply(w)
-            for k in range(n):
-                ek = basis_vector(n, k)
-                if alg.bracket(jw, ek) != tuple(j.apply(alg.bracket(w, ek))):
-                    return False
-    return True
+    c = _structure_tensor(s.algebra)
+    return c.push(s.J, 2).dot(c) == c.dot(c).push(s.J, 3)
 
 
 def _suite_abelian_implies_flat(config: GeneratorConfig, report: SuiteReport):

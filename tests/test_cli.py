@@ -14,6 +14,7 @@ from antikahler.cli.textio import (
     parse_structure,
 )
 from antikahler.liealg import LieAlgebra
+from test_j_contractions import fraction_views
 
 
 def run_cli(capsys, *argv):
@@ -330,9 +331,12 @@ class TestCommands:
         monkeypatch.setattr(geometry, "CurvatureTensor", RecordingTensor)
         path = tmp_path / "sl2c.txt"
         path.write_text(format_structure(catalog.get("sl2c_killing").structure))
-        code, _, _ = run_cli(capsys, "curvature", str(path), "--output", "machine")
+        with fraction_views() as views:
+            code, _, _ = run_cli(capsys, "curvature", str(path), "--output", "machine")
         assert code == 0
         assert [t._fraction_ops for t in tensors] == [None]
+        # no Tensor builds Fractions: not Gamma, R, Ricci or the Ricci operator
+        assert views == []
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -266,6 +266,26 @@ class TestMemo:
         assert ricci(s, other) == ricci(s)
 
 
+class TestLazyFractionViews:
+    """The Fraction views that perfbench's tracer reads for its operand sizes:
+    ``Connection.operators`` and ``CurvatureTensor._ops`` (keys i < j)."""
+
+    def test_views_match_the_accessors(self):
+        for s in sample_structures():
+            s = AntiHermitianStructure(s.algebra, s.g, s.J)
+            n, conn, r = s.dim, levi_civita(s), curvature(s)
+            ops = conn.operators
+            assert len(ops) == n and all(isinstance(m, Matrix) for m in ops)
+            assert all(ops[i][k][j] == conn.gamma(i, j, k)
+                       for i in range(n) for j in range(n) for k in range(n))
+            assert sorted(r._ops) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+            for (i, j), m in r._ops.items():
+                assert isinstance(m, Matrix)
+                assert all(type(m[l][k]) is Fraction and m[l][k] == r.component(i, j, k, l)
+                           for k in range(n) for l in range(n))
+            assert conn.operators is ops and r._ops is r._fraction_ops
+
+
 class TestRicci:
     def test_trace_of_components_for_any_connection(self):
         # a connection that is not Levi-Civita, and one given with int entries

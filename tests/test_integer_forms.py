@@ -275,9 +275,10 @@ class TestConnection:
         conn, reference = levi_civita(s), Connection(ops)
         assert conn == reference and reference == conn
         # the reduced denominator is the lcm of the reduced Fraction denominators
-        assert conn._den == math.lcm(*(x.denominator for m in ops for row in m.rows
-                                       for x in row))
-        assert (conn._numerators, conn._den) == (reference._numerators, reference._den)
+        assert conn.tensor.den == math.lcm(*(x.denominator for m in ops for row in m.rows
+                                             for x in row))
+        assert (conn.tensor.nums, conn.tensor.den) == (reference.tensor.nums,
+                                                       reference.tensor.den)
         assert conn._operators is None
         for i in range(n):
             for j in range(n):
@@ -292,7 +293,7 @@ class TestConnection:
         assert all(type(x) is Fraction for m in conn.operators for row in m.rows for x in row)
         # curvature from the integer connection equals that of the Fraction one
         mine, theirs = curvature(s), curvature(s, reference)
-        assert mine._numerators == theirs._numerators and mine._den == theirs._den
+        assert (mine.tensor.nums, mine.tensor.den) == (theirs.tensor.nums, theirs.tensor.den)
 
     @given(structures())
     @settings(max_examples=30, deadline=None)

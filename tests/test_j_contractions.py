@@ -6,6 +6,7 @@ Inputs are seeded stream structures (anti-Kahler and generic, dims 4 and
 structure constants are dense.
 """
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from antikahler.scalars import (
     DimensionMismatchError,
     GaussianRational,
     Matrix,
+    Tensor,
     basis_vector,
     format_rational,
     fractions_over,
@@ -201,6 +203,30 @@ def ref_check_complex_structure(j_map):
     n = j_map.nrows
     if j_map * j_map != -Matrix.identity(n):
         raise NotComplexStructureError("J^2 != -I")
+
+
+@contextlib.contextmanager
+def fraction_views():
+    """Records every Tensor that builds Fractions inside the block: through
+    ``fractions`` or by reading one entry, the type's only Fraction views."""
+    views = []
+    fractions, getitem = Tensor.fractions, Tensor.__getitem__
+
+    def recording_fractions(self):
+        views.append(self)
+        return fractions(self)
+
+    def recording_getitem(self, index):
+        out = getitem(self, index)
+        if isinstance(out, Fraction):
+            views.append(self)
+        return out
+
+    Tensor.fractions, Tensor.__getitem__ = recording_fractions, recording_getitem
+    try:
+        yield views
+    finally:
+        Tensor.fractions, Tensor.__getitem__ = fractions, getitem
 
 
 def ref_component_texts(r):
@@ -384,15 +410,17 @@ class TestCurvatureContractions:
     @settings(max_examples=40, deadline=None)
     def test_component_texts(self, s):
         r = curvature(s)
-        texts = r.component_texts()
-        assert r._fraction_ops is None
+        with fraction_views() as views:
+            texts = r.component_texts()
+        assert views == [] and r._fraction_ops is None
         assert texts == ref_component_texts(r)
 
     def test_check_builds_no_fraction_operators(self):
         s = random_structure(GeneratorConfig(dim=6), 3)
-        curvature_is_pure(s)
-        curvature_j_anticommutes(s)
-        assert curvature(s)._fraction_ops is None
+        with fraction_views() as views:
+            curvature_is_pure(s)
+            curvature_j_anticommutes(s)
+        assert views == [] and curvature(s)._fraction_ops is None
         assert curvature(s).op(0, 1) == curvature(s)._ops[(0, 1)]
 
 

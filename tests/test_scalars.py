@@ -335,8 +335,10 @@ class TestFractionFreeProduct:
                 assert_same_scalar(got, want)
 
     def test_non_fraction_operands_keep_the_dot_path(self):
+        # int entries are rationals: their product takes the integer path
         ints = Matrix([[1, 2], [3, 4]])
-        assert all(type(x) is int for row in (ints * ints).rows for x in row)
+        assert (ints * ints).rows == ((7, 10), (15, 22))
+        assert all(type(x) is Fraction for row in (ints * ints).rows for x in row)
         mixed = Matrix([[Fraction(1), GaussianRational(Fraction(0), Fraction(1))],
                         [Fraction(0), Fraction(2)]])
         rational = Matrix([[Fraction(1, 2), Fraction(0)], [Fraction(3), Fraction(1)]])
@@ -542,7 +544,27 @@ class TestFractionFreeElimination:
         else:
             assert_same_matrix(m.inverse(), want)
 
-    def test_integer_entries_keep_the_field_path(self):
-        m = Matrix([[2, 1], [1, 1]])
-        assert_same_scalar(m.det(), reference_det(m.rows))
-        assert_same_matrix(m.inverse(), reference_inverse(m.rows))
+    def test_integer_entries_are_exact_rationals(self):
+        """int entries are rationals: det, inverse, rank and nullspace give the
+        Fraction results of the same matrix written with Fractions."""
+        for rows in ([[1, 2], [3, 4]], [[2, 1], [1, 1]], [[0, 3, 1], [2, 0, 5], [7, 1, 0]]):
+            m, exact = Matrix(rows), [[Fraction(x) for x in row] for row in rows]
+            assert_same_scalar(m.det(), reference_det(exact))
+            assert_same_matrix(m.inverse(), reference_inverse(exact))
+            assert m.rank() == reference_rank(exact) == len(rows)
+            assert m.nullspace() == []
+        assert_same_scalar(Matrix([[1, 2], [3, 4]]).det(), Fraction(-2))
+        assert_same_matrix(Matrix([[1, 2], [3, 4]]).inverse(),
+                           [[Fraction(-2), Fraction(1)], [Fraction(3, 2), Fraction(-1, 2)]])
+        singular = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        m = Matrix(singular)
+        assert_same_scalar(m.det(), Fraction(0))
+        with pytest.raises(SingularMatrixError):
+            m.inverse()
+        assert m.rank() == 2
+        assert_same_nullspace(m, [[Fraction(x) for x in row] for row in singular])
+        assert m.nullspace() == [(Fraction(1), Fraction(-2), Fraction(1))]
+        assert all(type(x) is Fraction for vec in m.nullspace() for x in vec)
+        wide = Matrix([[2, 4, 6, 8], [1, 3, 0, 1]])
+        assert wide.rank() == 2
+        assert_same_nullspace(wide, [[Fraction(x) for x in row] for row in wide.rows])
