@@ -325,11 +325,10 @@ def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
     (i, j), and Rc = lambda g reads rc G_ij = rc_ij G on the integers.
     """
     rc = _ricci(s)[0]
-    g, _, dg = s.g.integer_form
-    g = [x for row in g for x in row]
-    p = next(p for p, x in enumerate(g) if x)
-    gij, rij = g[p], rc.nums[p]
-    if all(x * gij == rij * y for x, y in zip(rc.nums, g)):
+    rows, (g, _, dg) = rc.rows(), s.g.integer_form
+    i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+    gij, rij = g[i][j], rows[i][j]
+    if all(x * gij == rij * y for rc_row, g_row in zip(rows, g) for x, y in zip(rc_row, g_row)):
         return True, Fraction(rij * dg, rc.den * gij)
     return False, None
 
