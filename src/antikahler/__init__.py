@@ -6,7 +6,6 @@ from .scalars import (
     Rational,
     format_rational,
     gaussian_sqrt,
-    invert,
     parse_rational,
     rational_sqrt,
     signature,

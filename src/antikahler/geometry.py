@@ -29,7 +29,6 @@ from .scalars import (
     Tensor,
     basis_vector,
     int_matmul,
-    signature,
 )
 
 
@@ -90,9 +89,6 @@ class AntiHermitianStructure:
 
     def metric(self, x: Sequence, y: Sequence) -> Fraction:
         return sum((xi * gy for xi, gy in zip(x, self.g.apply(y))), Fraction(0))
-
-    def metric_signature(self) -> tuple[int, int, int]:
-        return signature(self.g)
 
     def _memo(self, key, builder):
         if key not in self._cache:
@@ -178,6 +174,11 @@ class Connection:
         return self.tensor == other.tensor
 
 
+def _lowered_structure(s: AntiHermitianStructure) -> Tensor:
+    """g([e_i, e_j], e_k) at (i, j, k), built once per structure."""
+    return s._memo("lowered_structure", lambda: _structure_tensor(s.algebra).pull(s.g, 2))
+
+
 def levi_civita(s: AntiHermitianStructure) -> Connection:
     """Unique metric, torsion-free connection via the Koszul formula.
 
@@ -187,7 +188,7 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
     one shared denominator, and the connection keeps them as integers.
     """
     def build():
-        low = _structure_tensor(s.algebra).pull(s.g, 2)  # g([e_i, e_j], e_k)
+        low = _lowered_structure(s)
         rhs = low - low.permute((2, 0, 1)) + low.permute((1, 2, 0))
         # g^{-1} is symmetric, so contracting the last slot with it solves for nabla
         return Connection._of(rhs.pull(s.g_inv, 2) / 2)
@@ -365,7 +366,7 @@ def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:
 
 def is_bi_invariant_metric(s: AntiHermitianStructure) -> bool:
     """g([x,y], z) + g(y, [x,z]) = 0 on all basis triples (ad-invariance)."""
-    low = _structure_tensor(s.algebra).pull(s.g, 2)  # g([e_i, e_j], e_k)
+    low = _lowered_structure(s)
     return low.permute((0, 2, 1)) == -low
 
 

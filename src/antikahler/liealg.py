@@ -162,9 +162,6 @@ class LieAlgebra:
             return tuple(-x for x in self._table[(j, i)])
         return _zero(self.dim)
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        return self.bracket_basis(i, j)[k]
-
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear expansion of [x, y] through the structure constants."""
         if len(x) != self.dim or len(y) != self.dim:

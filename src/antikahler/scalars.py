@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,7 +109,8 @@ class GaussianRational:
         n = o.norm_sq()
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(o.re / n, -o.im / n)
+        return GaussianRational(Fraction(self.re * o.re + self.im * o.im, n),
+                                Fraction(self.im * o.re - self.re * o.im, n))
 
     def __rtruediv__(self, other):
         return GaussianRational.of(other) / self
@@ -124,7 +126,8 @@ class GaussianRational:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to a rational when im == 0, so it must hash like one
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return self.re != 0 or self.im != 0
@@ -169,10 +172,6 @@ def gaussian_sqrt(z: GaussianRational) -> Optional[GaussianRational]:
     y = q / (2 * x)
     root = GaussianRational(x, y)
     return root if root * root == z else None
-
-
-def _is_zero(x) -> bool:
-    return x == 0
 
 
 def basis_vector(dim: int, i: int) -> tuple:
@@ -401,11 +400,12 @@ class Tensor:
         return Tensor(n, self.order - 2, out, self.den)
 
 
-def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, int]:
-    """Fraction-free elimination of integer rows in place (Bareiss 1968) on the
+def _bareiss(rows: list, ncols: int, div, jordan: bool = False) -> tuple[list, object, int]:
+    """Fraction-free elimination in place (Bareiss 1968) over Z or Z[i] on the
     first ncols columns, below each pivot (and above it when jordan is set),
-    dividing exactly by the previous pivot.  Returns the pivot columns, the
-    last pivot and the sign of the row permutation."""
+    dividing exactly by the previous pivot with div.  Returns the pivot
+    columns, the last pivot (held by every pivot row in its pivot column when
+    jordan is set) and the sign of the row permutation."""
     nrows = len(rows)
     prev, sign, pivots = 1, 1, []
     for c in range(ncols):
@@ -423,7 +423,7 @@ def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, i
             if q != r:
                 row = rows[q]
                 f = row[c]
-                row[lo:] = [(piv * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
+                row[lo:] = [div(piv * x - f * y, prev) for x, y in zip(row[lo:], top[lo:])]
         prev = piv
         pivots.append(c)
         if len(pivots) == nrows:
@@ -431,37 +431,13 @@ def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, i
     return pivots, prev, sign
 
 
-def _gauss_jordan(rows: list, ncols: int, stop_at_gap: bool = False) -> tuple[list, object]:
-    """Gauss-Jordan elimination over the entries' field in place on the first
-    ncols columns: each pivot row is divided by its pivot and the pivot column
-    cleared in every other row.  Stops at the first column without a pivot when
-    stop_at_gap is set.  Returns the pivot columns and the signed product of
-    the pivots (Fraction(1) times each pivot, negated at each row swap).
-    Integer entries are taken as Fractions, so no division leaves the field."""
-    rows[:] = [[Fraction(x) if type(x) is int else x for x in row] for row in rows]
-    nrows = len(rows)
-    pivots, product = [], Fraction(1)
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((q for q in range(r, nrows) if not _is_zero(rows[q][c])), None)
-        if p is None:
-            if stop_at_gap:
-                break
-            continue
-        if p != r:
-            rows[r], rows[p] = rows[p], rows[r]
-            product = -product
-        piv = rows[r][c]
-        product = product * piv
-        top = rows[r] = [x / piv for x in rows[r]]
-        for q in range(nrows):
-            if q != r and not _is_zero(rows[q][c]):
-                f = rows[q][c]
-                rows[q] = [x - f * y for x, y in zip(rows[q], top)]
-        pivots.append(c)
-        if len(pivots) == nrows:
-            break
-    return pivots, product
+def _gaussian_div(x, d) -> GaussianRational:
+    """x / d in Z[i] for Gaussian integers with int parts, d dividing x:
+    (a + bi) / (c + di) = ((ac + bd) + (bc - ad) i) / (c^2 + d^2)."""
+    x, d = GaussianRational.of(x), GaussianRational.of(d)
+    norm = d.re * d.re + d.im * d.im
+    return GaussianRational((x.re * d.re + x.im * d.im) // norm,
+                            (x.im * d.re - x.re * d.im) // norm)
 
 
 def _all_rational(rows) -> bool:
@@ -603,57 +579,61 @@ class Matrix:
             for i in range(self.nrows) for j in range(i + 1, self.ncols))
 
     def is_zero(self) -> bool:
-        return all(_is_zero(a) for row in self.rows for a in row)
+        return all(a == 0 for row in self.rows for a in row)
+
+    def _ring_form(self) -> tuple[list, int, object, object]:
+        """A fresh copy of N, with self = N / d, over Z, or over Z[i] (int parts)
+        when an entry is a GaussianRational; d; exact division in that ring;
+        and x, d -> x / d in its field, a Fraction or a GaussianRational."""
+        if _all_rational(self.rows):
+            rows, _, den = self.integer_form
+            return [list(row) for row in rows], den, operator.floordiv, Fraction
+        gauss = [[GaussianRational.of(x) for x in row] for row in self.rows]
+        parts, den = clear_denominators([p for z in row for p in (z.re, z.im)] for row in gauss)
+        rows = [[GaussianRational(a, b) for a, b in zip(row[::2], row[1::2])] for row in parts]
+        return rows, den, _gaussian_div, lambda x, d: GaussianRational.of(x) / d
 
     def det(self):
-        """Determinant; fraction-free in integers when every entry is rational."""
+        """Determinant: (sign * last pivot) / d^n of the fraction-free N."""
         if not self.is_square():
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.nrows
-        if _all_rational(self.rows):
-            rows, _, den = self.integer_form
-            pivots, last, sign = _bareiss([list(row) for row in rows], n)
-            return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
-        pivots, product = _gauss_jordan([list(row) for row in self.rows], n, stop_at_gap=True)
-        return product if len(pivots) == n else Fraction(0) * product
+        rows, den, div, quotient = self._ring_form()
+        pivots, last, sign = _bareiss(rows, n, div)
+        return quotient(sign * last if len(pivots) == n else 0, den ** n)
 
     def rank(self) -> int:
-        if _all_rational(self.rows):
-            return len(_bareiss([list(row) for row in self.integer_form[0]], self.ncols)[0])
-        return len(_gauss_jordan([list(row) for row in self.rows], self.ncols)[0])
+        rows, _, div, _ = self._ring_form()
+        return len(_bareiss(rows, self.ncols, div)[0])
 
     def nullspace(self) -> list[tuple]:
-        """Basis of the exact kernel, via reduced row echelon form."""
+        """Basis of the exact kernel from the fraction-free Gauss-Jordan form,
+        whose pivot row r has the RREF entry rows[r][f] / last in a free column f."""
         ncols = self.ncols
-        work = [list(row) for row in self.rows]
-        pivots, _ = _gauss_jordan(work, ncols)
-        free = [c for c in range(ncols) if c not in pivots]
+        rows, _, div, quotient = self._ring_form()
+        pivots, last, _ = _bareiss(rows, ncols, div, jordan=True)
+        zero, one = quotient(0, 1), quotient(1, 1)
         basis = []
-        for f in free:
-            vec = [Fraction(0)] * ncols
-            vec[f] = Fraction(1)
-            for row_idx, c in enumerate(pivots):
-                vec[c] = -work[row_idx][f]
+        for f in (c for c in range(ncols) if c not in pivots):
+            vec = [zero] * ncols
+            vec[f] = one
+            for r, c in enumerate(pivots):
+                vec[c] = quotient(-rows[r][f], last)
             basis.append(tuple(vec))
         return basis
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse; exact over any field of entries.  Over Q, N / d
-        is inverted as d (D N^-1) / D from the fraction-free [N | I] -> [D I | D N^-1]."""
+        """N / d is inverted as d (D N^-1) / D from the fraction-free
+        [N | I] -> [D I | D N^-1]."""
         if not self.is_square():
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
-        if _all_rational(self.rows):
-            rows, _, den = self.integer_form
-            work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-            pivots, last, _ = _bareiss(work, n, jordan=True)
-            if len(pivots) < n:
-                raise SingularMatrixError("matrix is singular")
-            return Matrix(fractions_over(([den * x for x in row[n:]] for row in work), last))
-        work = [list(row) + list(unit) for row, unit in zip(self.rows, Matrix.identity(n).rows)]
-        if len(_gauss_jordan(work, n, stop_at_gap=True)[0]) < n:
+        rows, den, div, quotient = self._ring_form()
+        work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        pivots, last, _ = _bareiss(work, n, div, jordan=True)
+        if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix(row[n:] for row in work)
+        return Matrix([[quotient(den * x, last) for x in row[n:]] for row in work])
 
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(a) for a in row] for row in self.rows])
@@ -687,57 +667,47 @@ def _dot(u: Sequence, v: Sequence):
     return total
 
 
-def invert(m: Matrix) -> Matrix:
-    """Exact inverse; raises SingularMatrixError when det = 0."""
-    return m.inverse()
-
-
 def signature(m: Matrix) -> tuple[int, int, int]:
     """Inertia (positive, negative, zero) of a symmetric rational matrix.
 
-    Symmetric congruence elimination with rational pivoting: when every
-    remaining diagonal entry vanishes, a congruence row/column addition
-    manufactures a nonzero diagonal pivot (valid away from characteristic 2).
-    Sylvester's law makes the counts basis-independent.
+    Symmetric fraction-free elimination on the integer form N of m (d > 0):
+    a diagonal pivot is swapped into place, and the Bareiss update of the
+    trailing block divides exactly by the previous pivot.  When every
+    remaining diagonal entry vanishes, the congruence e_p <- e_p + e_q makes
+    one nonzero (valid away from characteristic 2).  The pivots d_k are the
+    leading minors of a form congruent to N, which is congruent to the
+    diagonal d_k / d_{k-1}: d_k counts as positive when it has the sign of d_{k-1}.
     """
     if not m.is_square():
         raise DimensionMismatchError("signature of non-square matrix")
     if not m.is_symmetric():
         raise NotSymmetricError("signature requires a symmetric matrix")
     n = m.nrows
-    work = [[Fraction(a) for a in row] for row in m.rows]
-    pos = neg = zero = 0
-    i = 0
-    while i < n:
-        pivot_row = next((p for p in range(i, n) if work[p][p] != 0), None)
-        if pivot_row is None:
-            hit = next(((p, q) for p in range(i, n) for q in range(p + 1, n)
-                        if work[p][q] != 0), None)
+    work = [list(row) for row in m.integer_form[0]]
+    pos, neg, prev = 0, 0, 1
+    for i in range(n):
+        p = next((p for p in range(i, n) if work[p][p]), None)
+        if p is None:
+            hit = next(((p, q) for p in range(i, n) for q in range(p + 1, n) if work[p][q]), None)
             if hit is None:
-                zero += n - i
                 break
             p, q = hit
             # congruence e_p <- e_p + e_q turns the zero diagonal into 2*work[p][q]
-            for c in range(n):
-                work[p][c] = work[p][c] + work[q][c]
-            for r in range(n):
-                work[r][p] = work[r][p] + work[r][q]
-            pivot_row = p
-        if pivot_row != i:
-            work[i], work[pivot_row] = work[pivot_row], work[i]
-            for r in range(n):
-                work[r][i], work[r][pivot_row] = work[r][pivot_row], work[r][i]
-        d = work[i][i]
-        if d > 0:
+            work[p][i:] = [x + y for x, y in zip(work[p][i:], work[q][i:])]
+            for row in work[i:]:
+                row[p] += row[q]
+        if p != i:
+            work[i], work[p] = work[p], work[i]
+            for row in work[i:]:
+                row[i], row[p] = row[p], row[i]
+        top = work[i]
+        d = top[i]
+        if (d > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        for r in range(i + 1, n):
-            if work[r][i] != 0:
-                factor = work[r][i] / d
-                for c in range(n):
-                    work[r][c] = work[r][c] - factor * work[i][c]
-                for c in range(n):
-                    work[c][r] = work[c][r] - factor * work[c][i]
-        i += 1
-    return pos, neg, zero
+        for row in work[i + 1:]:
+            f = row[i]
+            row[i + 1:] = [(d * x - f * y) // prev for x, y in zip(row[i + 1:], top[i + 1:])]
+        prev = d
+    return pos, neg, n - pos - neg

@@ -14,7 +14,6 @@ from antikahler.scalars import (
     format_quotient,
     format_rational,
     gaussian_sqrt,
-    invert,
     parse_rational,
     rational_sqrt,
     signature,
@@ -28,13 +27,17 @@ rational_entries = st.one_of(
     st.integers(-50, 50).map(Fraction),
     st.fractions(max_denominator=2**80),
 )
-# entries of mixed Q / Q(i) rows, zeros of both types drawn often
+# entries of mixed Q / Q(i) rows, zeros of both types drawn often; parts
+# with large denominators make one Z[i] denominator for a matrix huge
 mixed_entries = st.one_of(
     st.just(Fraction(0)),
     st.just(GaussianRational(Fraction(0))),
     small_fractions,
     st.builds(GaussianRational, small_fractions, small_fractions),
+    st.builds(GaussianRational, rational_entries, rational_entries),
 )
+# rationals whose denominators lie between 2**80 and 2**81
+huge_entries = st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(2**80, 2**81))
 
 
 def n7_metric() -> Matrix:
@@ -116,6 +119,22 @@ class TestGaussianRational:
         root = gaussian_sqrt(z * z)
         assert root is not None and root * root == z * z
 
+    @pytest.mark.parametrize("x", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3),
+                                   Fraction(2**80 + 1, 3)])
+    def test_hash_of_a_rational_value(self, x):
+        z = GaussianRational(Fraction(x))
+        assert z == x and hash(z) == hash(x) == hash(Fraction(x))
+        assert len({z, x, Fraction(x)}) == 1
+        assert GaussianRational(Fraction(x), Fraction(1)) != x
+
+    def test_equal_matrices_are_one_set_member(self):
+        rational = Matrix([[Fraction(1), Fraction(0)], [Fraction(-2, 3), 5]])
+        gaussian = rational.map(lambda x: GaussianRational(Fraction(x)))
+        assert rational == gaussian and hash(rational) == hash(gaussian)
+        assert len({rational, gaussian}) == 1
+        assert gaussian in {rational} and rational in {gaussian}
+        assert len({Matrix([[Fraction(1)]]), Matrix([[GaussianRational(Fraction(1))]])}) == 1
+
     def test_rational_sqrt(self):
         assert rational_sqrt(Fraction(4, 9)) == Fraction(2, 3)
         assert rational_sqrt(Fraction(2)) is None
@@ -126,16 +145,16 @@ class TestGaussianRational:
 class TestInvert:
     def test_identity(self):
         m = Matrix.identity(4)
-        assert invert(m) == m
+        assert m.inverse() == m
 
     def test_involutive_diagonal(self):
         m = Matrix.diagonal([Fraction(1), Fraction(-1), Fraction(1), Fraction(-1)])
-        assert invert(m) == m
+        assert m.inverse() == m
 
     def test_n7_metric_inverse(self):
         # frozen expectation, independently checked by exact multiplication
         m = n7_metric()
-        inv = invert(m)
+        inv = m.inverse()
         expected = Matrix([
             [0, 0, 0, 0, 2, 0],
             [0, 0, 0, 0, 0, 2],
@@ -150,7 +169,7 @@ class TestInvert:
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            invert(Matrix.zeros(3, 3))
+            Matrix.zeros(3, 3).inverse()
 
     @given(st.lists(small_fractions, min_size=9, max_size=9))
     @settings(max_examples=60)
@@ -158,13 +177,38 @@ class TestInvert:
         m = Matrix([entries[0:3], entries[3:6], entries[6:9]])
         if m.det() == 0:
             return
-        assert invert(invert(m)) == m
+        assert m.inverse().inverse() == m
 
     def test_gaussian_entries(self):
         i = GaussianRational(Fraction(0), Fraction(1))
         one = GaussianRational(Fraction(1))
         m = Matrix([[one, i], [-i, one + one]])
         assert m * m.inverse() == Matrix([[one, one - one], [one - one, one]])
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric n x n forms, n in 1..7, of four kinds: an all-zero diagonal,
+    a singular congruence P^T M P, the zero matrix, and entries over
+    denominators near 2**80."""
+    n = draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(("zero_diagonal", "singular", "zero", "huge")))
+    if kind == "zero":
+        return Matrix.zeros(n, n)
+    entries = huge_entries if kind == "huge" else rational_entries
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i != j or kind != "zero_diagonal":
+                rows[i][j] = rows[j][i] = draw(entries)
+    m = Matrix(rows)
+    if kind != "singular":
+        return m
+    cols = [draw(st.lists(small_fractions, min_size=n, max_size=n)) for _ in range(n - 1)]
+    a, b = draw(small_fractions), draw(small_fractions)
+    last = [a * x + b * y for x, y in zip(cols[0], cols[-1])] if cols else [Fraction(0)]
+    p = Matrix.from_cols(cols + [last])
+    return p.transpose() * m * p
 
 
 class TestSignature:
@@ -217,6 +261,67 @@ class TestSignature:
                 rows[j][i] = value
         m = Matrix(rows)
         assert signature(m) == signature(p.transpose() * m * p)
+
+    @given(symmetric_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, m):
+        assert signature(m) == reference_signature(m)
+
+    def test_zero_diagonal_and_singular_cases(self):
+        for rows in ([[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+                     [[0, 2, 3], [2, 0, 5], [3, 5, 0]],
+                     [[1, 1], [1, 1]],
+                     [[0, 0, 1], [0, 0, 0], [1, 0, 0]]):
+            m = Matrix(rows).map(Fraction)
+            assert signature(m) == reference_signature(m)
+
+    def test_gaussian_entry_is_named(self):
+        i = GaussianRational(Fraction(0), Fraction(1))
+        m = Matrix([[Fraction(1), i], [i, Fraction(0)]])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is GaussianRational"):
+            signature(m)
+
+
+def reference_signature(m: Matrix) -> tuple[int, int, int]:
+    """Inertia by symmetric congruence elimination in Fractions, as
+    scalars.signature computed it before it ran in integers."""
+    n = m.nrows
+    work = [[Fraction(a) for a in row] for row in m.rows]
+    pos = neg = zero = 0
+    i = 0
+    while i < n:
+        pivot_row = next((p for p in range(i, n) if work[p][p] != 0), None)
+        if pivot_row is None:
+            hit = next(((p, q) for p in range(i, n) for q in range(p + 1, n)
+                        if work[p][q] != 0), None)
+            if hit is None:
+                zero += n - i
+                break
+            p, q = hit
+            # congruence e_p <- e_p + e_q turns the zero diagonal into 2*work[p][q]
+            for c in range(n):
+                work[p][c] = work[p][c] + work[q][c]
+            for r in range(n):
+                work[r][p] = work[r][p] + work[r][q]
+            pivot_row = p
+        if pivot_row != i:
+            work[i], work[pivot_row] = work[pivot_row], work[i]
+            for r in range(n):
+                work[r][i], work[r][pivot_row] = work[r][pivot_row], work[r][i]
+        d = work[i][i]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        for r in range(i + 1, n):
+            if work[r][i] != 0:
+                factor = work[r][i] / d
+                for c in range(n):
+                    work[r][c] = work[r][c] - factor * work[i][c]
+                for c in range(n):
+                    work[c][r] = work[c][r] - factor * work[c][i]
+        i += 1
+    return pos, neg, zero
 
 
 class TestNullspace:
@@ -530,19 +635,38 @@ class TestFractionFreeElimination:
 
     @given(elimination_operands(entries=mixed_entries))
     @settings(max_examples=100, deadline=None)
-    def test_gaussian_and_mixed_keep_the_field_path(self, rows):
+    def test_gaussian_and_mixed_match_field_elimination(self, rows):
+        """Every value equals the field elimination's; a result is a
+        GaussianRational when any entry is one, and a Fraction otherwise."""
         m = Matrix(rows)
+        field = (GaussianRational if any(type(x) is GaussianRational for row in rows for x in row)
+                 else Fraction)
         assert m.rank() == reference_rank(rows)
-        assert_same_nullspace(m, rows)
+        got = m.nullspace()
+        assert got == reference_nullspace(rows)
+        assert all(type(x) is field for vec in got for x in vec)
         if not m.is_square():
             return
-        assert_same_scalar(m.det(), reference_det(rows))
+        det = m.det()
+        assert det == reference_det(rows) and type(det) is field
         want = reference_inverse(rows)
         if want is None:
             with pytest.raises(SingularMatrixError):
                 m.inverse()
         else:
-            assert_same_matrix(m.inverse(), want)
+            inverse = m.inverse()
+            assert [list(row) for row in inverse.rows] == want
+            assert all(type(x) is field for row in inverse.rows for x in row)
+
+    def test_gaussian_results_are_gaussian(self):
+        zero = GaussianRational(Fraction(0))
+        assert_same_scalar(Matrix([[zero]]).det(), zero)
+        i = GaussianRational(Fraction(0), Fraction(1))
+        m = Matrix([[i, Fraction(1)], [Fraction(-1), i]])
+        assert_same_scalar(m.det(), zero)
+        assert m.rank() == 1
+        assert m.nullspace() == [(i, GaussianRational(Fraction(1)))]
+        assert all(type(x) is GaussianRational for x in m.nullspace()[0])
 
     def test_integer_entries_are_exact_rationals(self):
         """int entries are rationals: det, inverse, rank and nullspace give the
