@@ -28,7 +28,7 @@ from .geometry import (
     is_flat,
     is_ricci_flat,
 )
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, _structure_tensor
 from .scalars import (
     DimensionMismatchError,
     GaussianRational,
@@ -195,16 +195,13 @@ def _complex_scale(j_map: Matrix, z: GaussianRational, vec: Sequence) -> tuple:
 
 
 def transform_algebra(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
-    """Structure constants in the basis given by the columns of p."""
+    """Structure constants in the basis given by the columns of p:
+    p^-1 [p e_i, p e_j], read off the structure tensor."""
     p_inv = p.inverse()
+    c = _structure_tensor(alg).pull(p, 0).pull(p, 1).push(p_inv, 2)
     n = alg.dim
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = p_inv.apply(alg.bracket(p.col(i), p.col(j)))
-            if any(vec):
-                brackets[(i, j)] = vec
-    return LieAlgebra.from_brackets(n, brackets)
+    return LieAlgebra.from_brackets(n, {(i, j): c[i, j].fractions()
+                                        for i in range(n) for j in range(i + 1, n)})
 
 
 def transform_structure(s: AntiHermitianStructure, p: Matrix) -> AntiHermitianStructure:
@@ -273,19 +270,19 @@ def verify_isomorphism(phi: Matrix, src: LieAlgebra, dst: LieAlgebra, *,
                        g_dst: Optional[Matrix] = None,
                        j_src: Optional[Matrix] = None,
                        j_dst: Optional[Matrix] = None) -> bool:
-    """phi[x, y]_src = [phi x, phi y]_dst on basis pairs, optionally also
-    requiring phi to carry g_src/J_src to g_dst/J_dst."""
+    """phi[x, y]_src = [phi x, phi y]_dst, optionally also requiring phi to
+    carry g_src/J_src to g_dst/J_dst.  The bracket test compares the two
+    structure tensors with phi contracted in, so phi must be rational
+    (ValueError names the first entry that is not)."""
     if src.dim != dst.dim:
         raise DimensionMismatchError("source and target dimensions differ")
     if phi.nrows != src.dim or phi.ncols != src.dim:
         raise DimensionMismatchError("witness matrix has wrong shape")
     if phi.det() == 0:
         return False
-    n = src.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            if phi.apply(src.bracket_basis(i, j)) != dst.bracket(phi.col(i), phi.col(j)):
-                return False
+    if _structure_tensor(src).push(phi, 2) != \
+            _structure_tensor(dst).pull(phi, 0).pull(phi, 1):
+        return False
     if g_src is not None and phi.transpose() * g_dst * phi != g_src:
         return False
     if j_src is not None and phi * j_src != j_dst * phi:
@@ -433,18 +430,11 @@ def _case1_parameters(coeffs: NormalizedCoefficients) -> tuple:
     if not (a == t2 and b == t8 and c == -t4 and d == -t6):
         raise NotAntiKahlerError("case-1 coefficient identities fail")
 
-    eps = None
-    if any(v1) and any(v4):
-        p = next(i for i in range(4) if v1[i])
-        ratio = Fraction(v4[p]) / v1[p]
-        if ratio in (1, -1) and c == ratio * b and d == -ratio * a:
-            eps = int(ratio)
-    if eps is None:
-        candidates = [e for e in (1, -1) if c == e * b and d == -e * a]
-        if not candidates:
-            raise NotAntiKahlerError("no eps = +-1 satisfies c = eps b, d = -eps a")
-        eps = candidates[0]
-    return a, b, eps
+    # A != 0, so at most one eps satisfies both
+    candidates = [e for e in (1, -1) if c == e * b and d == -e * a]
+    if not candidates:
+        raise NotAntiKahlerError("no eps = +-1 satisfies c = eps b, d = -eps a")
+    return a, b, candidates[0]
 
 
 @dataclass(frozen=True)

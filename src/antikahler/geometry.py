@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 from .liealg import (
     LieAlgebra,
     NotComplexStructureError,
+    _killing_tensor,
     _structure_tensor,
     check_complex_structure,
 )
@@ -63,7 +64,7 @@ class AntiHermitianStructure:
             g_inv = g.inverse()
         except SingularMatrixError:
             raise SingularMetricError("metric matrix is singular") from None
-        if not _j_anti_invariant(g.integer_form[0], *j):
+        if not _congruent(g.integer_form[0], *j, -1):
             raise NotAntiIsometryError("g(Jx, Jy) != -g(x, y)")
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "g", g)
@@ -96,11 +97,11 @@ class AntiHermitianStructure:
         return self._cache[key]
 
 
-def _j_anti_invariant(b: list, j: list, jt: list, dj: int) -> bool:
-    """J^T B J = -B for an integer matrix B and a J given as integers (J, J^T)
-    over dj, tested as J^T B J = -dj^2 B."""
-    sq = dj * dj
-    return int_matmul(jt, int_matmul(b, j)) == [[-sq * x for x in row] for row in b]
+def _congruent(b: list, t: list, tt: list, dt: int, sign: int) -> bool:
+    """T^T B T = sign B for an integer matrix B and a T given as integers
+    (T, T^T) over dt, tested as T^T B T = sign dt^2 B."""
+    k = sign * dt * dt
+    return int_matmul(tt, int_matmul(b, t)) == [[k * x for x in row] for row in b]
 
 
 class Connection:
@@ -155,18 +156,6 @@ class Connection:
     def component_texts(self) -> list:
         """Every Gamma^k_{ij} as its exact rational string, out[i][j][k]."""
         return self.tensor.texts()
-
-    def nabla_direction(self, x: Sequence) -> Matrix:
-        """Operator nabla_x = sum_i x_i nabla_{e_i}."""
-        n = self.dim
-        out = Matrix.zeros(n, n)
-        for i, xi in enumerate(x):
-            if xi:
-                out = out + xi * self.operators[i]
-        return out
-
-    def apply(self, x: Sequence, y: Sequence) -> tuple:
-        return self.nabla_direction(x).apply(y)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -395,16 +384,6 @@ class ComplexifiedForm:
         jv = s.J.apply(v)
         return GaussianRational(s.metric(v, w), -s.metric(jv, w))
 
-    def is_isometry(self, t: Matrix) -> bool:
-        """T preserves the complexified form on all basis pairs."""
-        n = self.structure.dim
-        cols = [t.col(i) for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if self.eval(cols[i], cols[j]) != self.eval(basis_vector(n, i), basis_vector(n, j)):
-                    return False
-        return True
-
 
 def _complex_basis(j_map: Matrix) -> tuple:
     """Greedy basis f_1..f_m of the J-complex space: {f_p, J f_p} spans R^2m."""
@@ -433,7 +412,12 @@ def preserves_metric_and_j(s: AntiHermitianStructure, t: Matrix) -> bool:
 
 
 def preserves_complexified_form(s: AntiHermitianStructure, t: Matrix) -> bool:
-    return complexify(s).is_isometry(t)
+    """T preserves <v, w> - i <Jv, w>: T^T G T = G for G = g and for
+    G = J^T g, both symmetric, tested on the integer T."""
+    if t.nrows != s.dim or t.ncols != s.dim:
+        raise DimensionMismatchError("T must be dim x dim")
+    g, jt, t_int = s.g.integer_form[0], s.J.integer_form[1], t.integer_form
+    return _congruent(g, *t_int, 1) and _congruent(int_matmul(jt, g), *t_int, 1)
 
 
 def satisfies_abelian_connection_rule(s: AntiHermitianStructure,
@@ -473,7 +457,7 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
 
 def killing_anti_invariant(s: AntiHermitianStructure) -> bool:
     """B(Jx, Jy) = -B(x, y) for the Killing form B."""
-    return _j_anti_invariant(s.algebra.killing_form().integer_form[0], *s.J.integer_form)
+    return _congruent(_killing_tensor(s.algebra).rows(), *s.J.integer_form, -1)
 
 
 def second_derivatives_commute(s: AntiHermitianStructure,

@@ -20,7 +20,6 @@ from .scalars import (
     DimensionMismatchError,
     Matrix,
     Tensor,
-    basis_vector,
     clear_denominators,
     int_matmul,
 )
@@ -184,17 +183,10 @@ class LieAlgebra:
         """Matrix of ad_{e_i}: columns are [e_i, e_j]."""
         return Matrix.from_cols([self.bracket_basis(i, j) for j in range(self.dim)])
 
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of ad_x = [x, .]."""
-        return Matrix.from_cols([self.bracket(x, basis_vector(self.dim, j))
-                                 for j in range(self.dim)])
-
     def killing_form(self) -> Matrix:
-        """B_ij = trace(ad_{e_i} ad_{e_j}) = sum_kl C_ik^l C_jl^k; cached, symmetric."""
+        """The Killing form as a Matrix of Fractions, from _killing_tensor; cached."""
         if self._killing is None:
-            c = _structure_tensor(self)
-            killing = c.dot(c.permute((2, 1, 0)), 2)
-            object.__setattr__(self, "_killing", Matrix(killing.fractions()))
+            object.__setattr__(self, "_killing", Matrix(_killing_tensor(self).fractions()))
         return self._killing
 
     def is_unimodular(self) -> bool:
@@ -236,6 +228,13 @@ def _structure_tensor(algebra: LieAlgebra) -> Tensor:
                               for x in listed.get((a, b), zero)], den)
         object.__setattr__(algebra, "_structure", upper - upper.permute((1, 0, 2)))
     return algebra._structure
+
+
+def _killing_tensor(algebra: LieAlgebra) -> Tensor:
+    """B_ij = trace(ad_{e_i} ad_{e_j}) = sum_kl C_ik^l C_jl^k as an integer
+    tensor; symmetric."""
+    c = _structure_tensor(algebra)
+    return c.dot(c.permute((2, 1, 0)), 2)
 
 
 def _checked_structure(algebra: LieAlgebra, j_map: Matrix) -> Tensor:

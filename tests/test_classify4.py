@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,19 @@ CASE1_SAMPLES = [
     (1, 0, 1), (1, 1, 1), (2, 1, -1), (Fraction(1, 2), -1, 1),
     (0, 1, -1), (Fraction(-2, 3), Fraction(5, 7), 1), (-3, -3, -1),
 ]
+
+
+def drawn_case1_samples(count: int, seed: int = 17) -> list:
+    """(a, b, eps) with a, b random rationals, not both zero (either may be)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(2))
+        if a or b:
+            out.append((a, b, rng.choice((1, -1))))
+    return out
+
+
 CASE2_SAMPLES = [
     (1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 3, 4), (Fraction(1, 2), 0, -1, 1),
     (0, 0, 0, -2), (1, 1, 1, 1), (Fraction(-1, 3), Fraction(2, 5), 0, 0),
@@ -132,7 +146,7 @@ class TestClassify:
         report = classify(catalog.get("abelian4").structure)
         assert report.verdict == VERDICT_ABELIAN
 
-    @pytest.mark.parametrize("a,b,eps", CASE1_SAMPLES)
+    @pytest.mark.parametrize("a,b,eps", CASE1_SAMPLES + drawn_case1_samples(16))
     def test_case1(self, a, b, eps):
         s = make_family_case1(a, b, eps)
         report = classify(s)

@@ -338,6 +338,16 @@ class TestCommands:
         # no Tensor builds Fractions: not Gamma, R, Ricci or the Ricci operator
         assert views == []
 
+    def test_check_machine_builds_no_fraction_view(self, tmp_path, capsys):
+        """Every check predicate, the Killing form's included, reads integers."""
+        for name in ("sl2c_killing", "n7_J-1"):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(format_structure(catalog.get(name).structure))
+            with fraction_views() as views:
+                code, out, _ = run_cli(capsys, "check", str(path), "--output", "machine")
+            assert code == 0 and "killing_anti_invariant" in out
+            assert views == []
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("[algebra]\ndim = 3\nbracket e1 e1 = 1 e2\n")
