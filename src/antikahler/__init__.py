@@ -23,7 +23,7 @@ from .geometry import (
     AntiHermitianStructure,
     Connection,
     CurvatureTensor,
-    complexify,
+    complex_form,
     curvature,
     curvature_is_pure,
     is_anti_kahler,

@@ -217,13 +217,3 @@ def get(name: str) -> CatalogEntry:
     if name not in _ENTRIES:
         _ENTRIES[name] = _BUILDERS[name]()
     return _ENTRIES[name]
-
-
-def case1_entry(a, b, eps: int) -> AntiHermitianStructure:
-    """Parametrized generator for the solvable family."""
-    return make_family_case1(a, b, eps)
-
-
-def case2_entry(t1, t2, t3, t4) -> AntiHermitianStructure:
-    """Parametrized generator for the bi-invariant family."""
-    return make_family_case2(t1, t2, t3, t4)

@@ -16,13 +16,15 @@ by the complex invariant zeta = (t1 + i t2)^2 + (t3 + i t4)^2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .geometry import (
     AntiHermitianStructure,
-    complexify,
+    _complex_basis,
+    complex_form,
     is_anti_kahler,
     is_einstein,
     is_flat,
@@ -77,8 +79,10 @@ def standard_j(dim: int) -> Matrix:
     return Matrix(rows)
 
 
+@functools.cache
 def r_minus_one_minus_one() -> LieAlgebra:
-    """Canonical r(-1,-1): [e1,e2]=e2, [e1,e3]=-e3, [e1,e4]=-e4."""
+    """Canonical r(-1,-1): [e1,e2]=e2, [e1,e3]=-e3, [e1,e4]=-e4; built once,
+    on first call (a LieAlgebra is immutable)."""
     return LieAlgebra.from_brackets(4, {
         (0, 1): {1: 1},
         (0, 2): {2: -1},
@@ -86,8 +90,10 @@ def r_minus_one_minus_one() -> LieAlgebra:
     })
 
 
+@functools.cache
 def aff_c_real() -> LieAlgebra:
-    """Realified aff(C): [e1,e3]=e3, [e1,e4]=e4, [e2,e3]=e4, [e2,e4]=-e3."""
+    """Realified aff(C): [e1,e3]=e3, [e1,e4]=e4, [e2,e3]=e4, [e2,e4]=-e3;
+    built once, on first call."""
     return LieAlgebra.from_brackets(4, {
         (0, 2): {2: 1},
         (0, 3): {3: 1},
@@ -227,14 +233,13 @@ def normalize_basis(s: AntiHermitianStructure) -> tuple[Matrix, AntiHermitianStr
     if s.g == standard_metric(4) and s.J == standard_j(4):
         return Matrix.identity(4), s
 
-    form = complexify(s)
-    f1, f2 = form.complex_basis
+    f1, f2 = _complex_basis(s.J)
     f_sum = tuple(x + y for x, y in zip(f1, f2))
 
-    u1 = next((u for u in (f1, f2, f_sum) if not form.eval(u, u).is_zero()), None)
+    u1 = next((u for u in (f1, f2, f_sum) if not complex_form(s, u, u).is_zero()), None)
     if u1 is None:
         raise NormalizationFailedError("complexified form has no anisotropic basis vector")
-    sigma1 = gaussian_sqrt(form.eval(u1, u1))
+    sigma1 = gaussian_sqrt(complex_form(s, u1, u1))
     if sigma1 is None:
         raise NormalizationFailedError(
             "no rational orthonormal J-basis: <u,u> is not a square in Q(i); "
@@ -243,15 +248,15 @@ def normalize_basis(s: AntiHermitianStructure) -> tuple[Matrix, AntiHermitianStr
 
     u2 = None
     for h in (f1, f2, f_sum):
-        proj = form.eval(h, x_vec)
+        proj = complex_form(s, h, x_vec)
         cand = tuple(hv - xv for hv, xv in
                      zip(h, _complex_scale(s.J, proj, x_vec)))
-        if any(cand) and not form.eval(cand, cand).is_zero():
+        if any(cand) and not complex_form(s, cand, cand).is_zero():
             u2 = cand
             break
     if u2 is None:
         raise NormalizationFailedError("complex Gram-Schmidt found no second basis vector")
-    sigma2 = gaussian_sqrt(form.eval(u2, u2))
+    sigma2 = gaussian_sqrt(complex_form(s, u2, u2))
     if sigma2 is None:
         raise NormalizationFailedError(
             "no rational orthonormal J-basis: <u,u> is not a square in Q(i); "
@@ -487,46 +492,35 @@ def equivalent_case2(t: Sequence, t_other: Sequence) -> bool:
     return zeta_from_params(t) == zeta_from_params(t_other)
 
 
-def _realify(c: Matrix) -> Matrix:
-    """Complex m x m matrix over Q(i) -> real 2m x 2m in the J-adapted basis."""
-    m = c.nrows
-    rows = []
-    for p in range(m):
-        upper = []
-        lower = []
-        for q in range(m):
-            z = GaussianRational.of(c[p][q])
-            upper.extend((z.re, -z.im))
-            lower.extend((z.im, z.re))
-        rows.append(upper)
-        rows.append(lower)
-    return Matrix(rows)
+def _realify(rows: Sequence[Sequence]) -> Matrix:
+    """The m x m matrix X + iY over Q(i), given by rows of Q(i) scalars, as the
+    rational 2m x 2m block in the J-adapted basis: entry z becomes
+    [[Re z, -Im z], [Im z, Re z]].  Realification is an injective ring
+    homomorphism whose determinant is |det(X + iY)|^2, so products, inverses
+    and nonzero tests carry over exactly."""
+    out = []
+    for row in rows:
+        zs = [GaussianRational.of(x) for x in row]
+        out.append([p for z in zs for p in (z.re, -z.im)])
+        out.append([p for z in zs for p in (z.im, z.re)])
+    return Matrix(out)
 
 
 def _phi_scaling(z: GaussianRational) -> Matrix:
-    """Isometry scaling the isotropic direction X + iY by z (and X - iY by 1/z)."""
+    """Realified isometry scaling the isotropic direction X + iY by z (and
+    X - iY by 1/z)."""
     one = GaussianRational(Fraction(1))
     p = (z + one / z) * GaussianRational(Fraction(1, 2))
     q = _I * (z - one / z) * GaussianRational(Fraction(1, 2))
-    return Matrix([[p, -q], [q, p]])
-
-
-def _phi_swap() -> Matrix:
-    """Isometry exchanging the two isotropic directions X +- iY.
-
-    In the {X, Y} frame this is the conjugation diag(1, -1); it has
-    determinant -1, so anchor maps built from it compensate with a scaling.
-    """
-    zero = GaussianRational(Fraction(0))
-    one = GaussianRational(Fraction(1))
-    return Matrix([[one, zero], [zero, -one]])
+    return _realify([[p, -q], [q, p]])
 
 
 def _zeta_zero_anchor_map(t: Sequence) -> Matrix:
-    """Complex isometry carrying mu_{(1,0,0,1)} to mu_t when zeta(t) = 0.
+    """Realified isometry carrying mu_{(1,0,0,1)} to mu_t when zeta(t) = 0.
 
     On the isotropic orbit (z1, z2) = z (1, i) or z (1, -i) with z = z1; the
-    first branch is the scaling by z, the second composes the swap with the
+    first branch is the scaling by z, the second composes the swap of the
+    isotropic directions X +- iY, diag(1, -1) in the {X, Y} frame, with the
     scaling by -1/z (the swap has determinant -1, which re-enters the family
     action as a sign on the parameters).
     """
@@ -536,7 +530,7 @@ def _zeta_zero_anchor_map(t: Sequence) -> Matrix:
     if z2 == _I * z1:
         return _phi_scaling(z1)
     if z2 == -_I * z1:
-        return _phi_scaling(-GaussianRational(Fraction(1)) / z1) * _phi_swap()
+        return _phi_scaling(-GaussianRational(Fraction(1)) / z1) * _realify([[1, 0], [0, -1]])
     raise InequivalentParametersError("parameters do not lie on the zeta = 0 orbit")
 
 
@@ -545,7 +539,8 @@ def case2_equivalence_witness(t: Sequence, t_other: Sequence) -> Matrix:
 
     zeta != 0: map matching the orthogonal frames {z1 X + z2 Y, -z2 X + z1 Y}.
     zeta = 0: composition of the isotropic scaling and swap isometries
-    through the anchor parameters (1, 0, 0, 1).
+    through the anchor parameters (1, 0, 0, 1).  Both are built from
+    realified Q(i) maps.
     """
     if not equivalent_case2(t, t_other):
         raise InequivalentParametersError("zeta invariants differ")
@@ -555,13 +550,9 @@ def case2_equivalence_witness(t: Sequence, t_other: Sequence) -> Matrix:
     z1, z2 = GaussianRational(t_fr[0], t_fr[1]), GaussianRational(t_fr[2], t_fr[3])
     w1, w2 = GaussianRational(t2_fr[0], t2_fr[1]), GaussianRational(t2_fr[2], t2_fr[3])
     if not zeta.is_zero():
-        b_src = Matrix([[z1, -z2], [z2, z1]])
-        b_dst = Matrix([[w1, -w2], [w2, w1]])
-        complex_map = b_dst * b_src.inverse()
+        witness = _realify([[w1, -w2], [w2, w1]]) * _realify([[z1, -z2], [z2, z1]]).inverse()
     else:
-        complex_map = _zeta_zero_anchor_map(t_other) * \
-            _zeta_zero_anchor_map(t).inverse()
-    witness = _realify(complex_map)
+        witness = _zeta_zero_anchor_map(t_other) * _zeta_zero_anchor_map(t).inverse()
 
     src = make_family_case2(*t_fr)
     dst = make_family_case2(*t2_fr)

@@ -364,25 +364,9 @@ def twin_metric(s: AntiHermitianStructure) -> AntiHermitianStructure:
     return AntiHermitianStructure(s.algebra, s.J.transpose() * s.g, s.J)
 
 
-class ComplexifiedForm:
-    """C-bilinear symmetric form <v,w> - i <Jv,w> on the J-complex space."""
-
-    __slots__ = ("structure", "complex_basis", "gram")
-
-    def __init__(self, structure: AntiHermitianStructure):
-        object.__setattr__(self, "structure", structure)
-        basis = _complex_basis(structure.J)
-        object.__setattr__(self, "complex_basis", basis)
-        gram = Matrix([[self.eval(u, v) for v in basis] for u in basis])
-        object.__setattr__(self, "gram", gram)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexifiedForm is immutable")
-
-    def eval(self, v: Sequence, w: Sequence) -> GaussianRational:
-        s = self.structure
-        jv = s.J.apply(v)
-        return GaussianRational(s.metric(v, w), -s.metric(jv, w))
+def complex_form(s: AntiHermitianStructure, v: Sequence, w: Sequence) -> GaussianRational:
+    """The C-bilinear symmetric form <v, w> = g(v, w) - i g(Jv, w) on the J-complex space."""
+    return GaussianRational(s.metric(v, w), -s.metric(s.J.apply(v), w))
 
 
 def _complex_basis(j_map: Matrix) -> tuple:
@@ -400,10 +384,6 @@ def _complex_basis(j_map: Matrix) -> tuple:
             if len(spanning_rows) == n:
                 break
     return tuple(chosen)
-
-
-def complexify(s: AntiHermitianStructure) -> ComplexifiedForm:
-    return s._memo("complexified", lambda: ComplexifiedForm(s))
 
 
 def preserves_metric_and_j(s: AntiHermitianStructure, t: Matrix) -> bool:

@@ -179,10 +179,6 @@ class LieAlgebra:
                         out[k] += coeff * w[k]
         return tuple(out)
 
-    def ad_basis(self, i: int) -> Matrix:
-        """Matrix of ad_{e_i}: columns are [e_i, e_j]."""
-        return Matrix.from_cols([self.bracket_basis(i, j) for j in range(self.dim)])
-
     def killing_form(self) -> Matrix:
         """The Killing form as a Matrix of Fractions, from _killing_tensor; cached."""
         if self._killing is None:

@@ -1,17 +1,18 @@
 """Exact field arithmetic and small dense matrix algebra.
 
-All computation in this package runs over the rationals or the Gaussian
-rationals, with arbitrary-precision integers underneath.  Matrices are
-immutable and field-generic: entries may be ``fractions.Fraction``, ``int``
-(taken as a rational) or :class:`GaussianRational`, mixed freely.  Derived
-tensors are :class:`Tensor` objects: integers over one denominator.
+All computation in this package runs over the rationals, with
+arbitrary-precision integers underneath.  Matrices are immutable and
+rational: entries are ``fractions.Fraction`` or ``int`` (taken as a
+rational), and every product and elimination runs over Z on their integer
+form.  Q(i) appears only as the scalar :class:`GaussianRational`; a Q(i)
+matrix X + iY is carried as its rational realified block.  Derived tensors
+are :class:`Tensor` objects: integers over one denominator.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -400,12 +401,12 @@ class Tensor:
         return Tensor(n, self.order - 2, out, self.den)
 
 
-def _bareiss(rows: list, ncols: int, div, jordan: bool = False) -> tuple[list, object, int]:
-    """Fraction-free elimination in place (Bareiss 1968) over Z or Z[i] on the
-    first ncols columns, below each pivot (and above it when jordan is set),
-    dividing exactly by the previous pivot with div.  Returns the pivot
-    columns, the last pivot (held by every pivot row in its pivot column when
-    jordan is set) and the sign of the row permutation."""
+def _bareiss(rows: list, ncols: int, jordan: bool = False) -> tuple[list, int, int]:
+    """Fraction-free elimination in place (Bareiss 1968) over Z on the first
+    ncols columns, below each pivot (and above it when jordan is set),
+    dividing exactly by the previous pivot.  Returns the pivot columns, the
+    last pivot (held by every pivot row in its pivot column when jordan is
+    set) and the sign of the row permutation."""
     nrows = len(rows)
     prev, sign, pivots = 1, 1, []
     for c in range(ncols):
@@ -423,7 +424,7 @@ def _bareiss(rows: list, ncols: int, div, jordan: bool = False) -> tuple[list, o
             if q != r:
                 row = rows[q]
                 f = row[c]
-                row[lo:] = [div(piv * x - f * y, prev) for x, y in zip(row[lo:], top[lo:])]
+                row[lo:] = [(piv * x - f * y) // prev for x, y in zip(row[lo:], top[lo:])]
         prev = piv
         pivots.append(c)
         if len(pivots) == nrows:
@@ -431,21 +432,10 @@ def _bareiss(rows: list, ncols: int, div, jordan: bool = False) -> tuple[list, o
     return pivots, prev, sign
 
 
-def _gaussian_div(x, d) -> GaussianRational:
-    """x / d in Z[i] for Gaussian integers with int parts, d dividing x:
-    (a + bi) / (c + di) = ((ac + bd) + (bc - ad) i) / (c^2 + d^2)."""
-    x, d = GaussianRational.of(x), GaussianRational.of(d)
-    norm = d.re * d.re + d.im * d.im
-    return GaussianRational((x.re * d.re + x.im * d.im) // norm,
-                            (x.im * d.re - x.re * d.im) // norm)
-
-
-def _all_rational(rows) -> bool:
-    return all(type(x) is Fraction or type(x) is int for row in rows for x in row)
-
-
 class Matrix:
-    """Immutable dense matrix over Q or Q(i)."""
+    """Immutable dense matrix over Q.  Every arithmetic operation reads the
+    integer form, so an entry that is not rational raises the ValueError
+    that names it."""
 
     __slots__ = ("rows", "_integer_form")
 
@@ -542,12 +532,9 @@ class Matrix:
                 raise DimensionMismatchError(
                     f"cannot multiply {self.nrows}x{self.ncols} by "
                     f"{other.nrows}x{other.ncols}")
-            if _all_rational(self.rows) and _all_rational(other.rows):
-                a, _, da = self.integer_form
-                b, _, db = other.integer_form
-                return Matrix(fractions_over(int_matmul(a, b), da * db))
-            cols = list(zip(*other.rows))
-            return Matrix([[_dot(row, col) for col in cols] for row in self.rows])
+            a, _, da = self.integer_form
+            b, _, db = other.integer_form
+            return Matrix(fractions_over(int_matmul(a, b), da * db))
         return Matrix([[a * other for a in row] for row in self.rows])
 
     def __rmul__(self, other):
@@ -581,44 +568,36 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.rows for a in row)
 
-    def _ring_form(self) -> tuple[list, int, object, object]:
-        """A fresh copy of N, with self = N / d, over Z, or over Z[i] (int parts)
-        when an entry is a GaussianRational; d; exact division in that ring;
-        and x, d -> x / d in its field, a Fraction or a GaussianRational."""
-        if _all_rational(self.rows):
-            rows, _, den = self.integer_form
-            return [list(row) for row in rows], den, operator.floordiv, Fraction
-        gauss = [[GaussianRational.of(x) for x in row] for row in self.rows]
-        parts, den = clear_denominators([p for z in row for p in (z.re, z.im)] for row in gauss)
-        rows = [[GaussianRational(a, b) for a, b in zip(row[::2], row[1::2])] for row in parts]
-        return rows, den, _gaussian_div, lambda x, d: GaussianRational.of(x) / d
+    def _ring_form(self) -> tuple[list, int]:
+        """A fresh copy of N, with self = N / d, to eliminate in place; and d."""
+        rows, _, den = self.integer_form
+        return [list(row) for row in rows], den
 
-    def det(self):
+    def det(self) -> Fraction:
         """Determinant: (sign * last pivot) / d^n of the fraction-free N."""
         if not self.is_square():
             raise DimensionMismatchError("determinant of non-square matrix")
         n = self.nrows
-        rows, den, div, quotient = self._ring_form()
-        pivots, last, sign = _bareiss(rows, n, div)
-        return quotient(sign * last if len(pivots) == n else 0, den ** n)
+        rows, den = self._ring_form()
+        pivots, last, sign = _bareiss(rows, n)
+        return Fraction(sign * last, den ** n) if len(pivots) == n else Fraction(0)
 
     def rank(self) -> int:
-        rows, _, div, _ = self._ring_form()
-        return len(_bareiss(rows, self.ncols, div)[0])
+        return len(_bareiss(self._ring_form()[0], self.ncols)[0])
 
     def nullspace(self) -> list[tuple]:
         """Basis of the exact kernel from the fraction-free Gauss-Jordan form,
         whose pivot row r has the RREF entry rows[r][f] / last in a free column f."""
         ncols = self.ncols
-        rows, _, div, quotient = self._ring_form()
-        pivots, last, _ = _bareiss(rows, ncols, div, jordan=True)
-        zero, one = quotient(0, 1), quotient(1, 1)
+        rows, _ = self._ring_form()
+        pivots, last, _ = _bareiss(rows, ncols, jordan=True)
+        zero, one = Fraction(0), Fraction(1)
         basis = []
         for f in (c for c in range(ncols) if c not in pivots):
             vec = [zero] * ncols
             vec[f] = one
             for r, c in enumerate(pivots):
-                vec[c] = quotient(-rows[r][f], last)
+                vec[c] = Fraction(-rows[r][f], last)
             basis.append(tuple(vec))
         return basis
 
@@ -628,12 +607,12 @@ class Matrix:
         if not self.is_square():
             raise DimensionMismatchError("inverse of non-square matrix")
         n = self.nrows
-        rows, den, div, quotient = self._ring_form()
+        rows, den = self._ring_form()
         work = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-        pivots, last, _ = _bareiss(work, n, div, jordan=True)
+        pivots, last, _ = _bareiss(work, n, jordan=True)
         if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        return Matrix([[quotient(den * x, last) for x in row[n:]] for row in work])
+        return Matrix([[Fraction(den * x, last) for x in row[n:]] for row in work])
 
     def map(self, fn) -> "Matrix":
         return Matrix([[fn(a) for a in row] for row in self.rows])
@@ -644,27 +623,15 @@ class Matrix:
 
 
 def _dot(u: Sequence, v: Sequence):
-    """Sum of a * b over paired entries, skipping pairs with a zero factor.
-
-    A skipped pair adds only a zero, but that zero carries its type: a
-    Fraction plus a Gaussian zero is Gaussian.  Zero pairs that are not both
-    Fractions are therefore still summed into ``zeros``, so over Fraction
-    and GaussianRational entries the result equals the dense left-to-right
-    sum in value and in type.
-    """
-    total = zeros = None
+    """Sum of a * b over paired entries, skipping pairs with a zero factor;
+    the sum starts from the first nonzero term, and is Fraction(0) when
+    there is none."""
+    total = None
     for a, b in zip(u, v):
         if a and b:
             term = a * b
             total = term if total is None else total + term
-        elif type(a) is not Fraction or type(b) is not Fraction:
-            term = a * b
-            zeros = term if zeros is None else zeros + term
-    if zeros is not None:
-        return zeros if total is None else total + zeros
-    if total is None and u:
-        return Fraction(0)
-    return total
+    return Fraction(0) if total is None else total
 
 
 def signature(m: Matrix) -> tuple[int, int, int]:

@@ -134,11 +134,3 @@ def tensor_ratio(top: ThetaTensor, bottom: ThetaTensor) -> Optional[Fraction]:
         raise ArithmeticError("theta forms are not proportional")
     return None if p is None else Fraction(tp * b.den, bp * t.den)
 
-
-def theta_form_ratio(s: AntiHermitianStructure) -> Optional[Fraction]:
-    """Measured constant c with connection form = c * bracket form.
-
-    Returns None when both tables vanish; raises if the tables are not
-    proportional (they always are, the ratio is measured rather than assumed).
-    """
-    return tensor_ratio(theta_connection_form(s), theta_bracket_form(s))

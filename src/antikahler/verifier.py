@@ -20,6 +20,7 @@ from .classify4 import (
     VERDICT_ABELIAN,
     VERDICT_AFF,
     VERDICT_R,
+    _realify,
     aff_c_real,
     closed_form_curvature_case2,
     case2_equivalence_witness,
@@ -38,7 +39,7 @@ from .geometry import (
     _complex_basis,
     _nabla_j,
     abelian_j_connection,
-    complexify,
+    complex_form,
     curvature,
     curvature_is_pure,
     curvature_j_anticommutes,
@@ -113,18 +114,16 @@ def random_gaussian_rational(rng: random.Random, bound: int) -> GaussianRational
 def _well_conditioned(m: Matrix) -> bool:
     """Float conditioning filter of the random generators, not a singularity test.
 
-    Partial-pivot elimination in floats on the real parts of the entries: a
-    Gaussian entry contributes only its ``re``.  Returns False when a pivot
-    vanishes or when |det| <= 1e-9 * (largest pivot)^n, so it also rejects
-    nonsingular matrices that are ill-conditioned, or whose real part is
-    singular.  Entries too large for a float pass, and are left to the exact
-    check.  Every draw of the generators goes through it, so changing it
-    changes the sample stream.
+    Partial-pivot elimination in floats on the rational entries.  Returns
+    False when a pivot vanishes or when |det| <= 1e-9 * (largest pivot)^n,
+    so it also rejects nonsingular matrices that are ill-conditioned.
+    Entries too large for a float pass, and are left to the exact check.
+    Every draw of the generators goes through it, so changing it changes
+    the sample stream.
     """
     n = m.nrows
     try:
-        work = [[float(x) if isinstance(x, Fraction) else float(x.re)
-                 for x in row] for row in m.rows]
+        work = [[float(x) for x in row] for row in m.rows]
     except (OverflowError, ValueError):
         return True  # defer to the exact check
     det = 1.0
@@ -166,6 +165,7 @@ def random_anti_hermitian_metric(algebra: LieAlgebra, j_map: Matrix,
     J-complex space and takes the real part of C S C^T, where C = A + iB
     holds the complex coordinates of the basis vectors:
     g = (AX - BY) A^T - (AY + BX) B^T is symmetric with J an anti-isometry.
+    The float filter reads X; S is nondegenerate when its realified block is.
     """
     rng = seed_or_rng if isinstance(seed_or_rng, random.Random) \
         else random.Random(seed_or_rng)
@@ -184,11 +184,10 @@ def random_anti_hermitian_metric(algebra: LieAlgebra, j_map: Matrix,
                 z = random_gaussian_rational(rng, bound)
                 gram[p][q] = z
                 gram[q][p] = z
-        s_matrix = Matrix(gram)
-        if not _well_conditioned(s_matrix) or s_matrix.det() == 0:
+        x = Matrix([[z.re for z in row] for row in gram])
+        if not _well_conditioned(x) or _realify(gram).det() == 0:
             continue
-        x = s_matrix.map(lambda z: z.re)
-        y = s_matrix.map(lambda z: z.im)
+        y = Matrix([[z.im for z in row] for row in gram])
         g = (a * x - b * y) * a.transpose() - (a * y + b * x) * b.transpose()
         if _well_conditioned(g) and g.det() != 0:
             return AntiHermitianStructure(algebra, g, j_map)
@@ -375,23 +374,22 @@ def _suite_neutral_signature(config: GeneratorConfig, report: SuiteReport):
 def _suite_complexified_form(config: GeneratorConfig, report: SuiteReport):
     for index, s in _structures(config):
         rng = sample_rng(config, 10_000 + index)
-        form = complexify(s)
         n = s.dim
         v = [random_rational(rng, config.coefficient_bound) for _ in range(n)]
         w = [random_rational(rng, config.coefficient_bound) for _ in range(n)]
-        jv = s.J.apply(v)
-        sym = form.eval(v, w) == form.eval(w, v)
-        real_part = form.eval(v, w).re == s.metric(v, w)
-        i_linear = form.eval(jv, w) == GaussianRational(Fraction(0), Fraction(1)) * form.eval(v, w)
+        vw = complex_form(s, v, w)
+        sym = vw == complex_form(s, w, v)
+        real_part = vw.re == s.metric(v, w)
+        i_unit = GaussianRational(Fraction(0), Fraction(1))
+        i_linear = complex_form(s, s.J.apply(v), w) == i_unit * vw
         report.check(sym, "complex_form_symmetric", index, _dump(s))
         report.check(real_part, "complex_form_real_part", index, _dump(s))
         report.check(i_linear, "complex_form_i_linear", index, _dump(s))
     # orthonormal J-basis on the standard pair
     std = catalog.get("abelian4").structure
-    gram = complexify(std).gram
-    ok = gram == Matrix([[GaussianRational(Fraction(1)), GaussianRational(Fraction(0))],
-                         [GaussianRational(Fraction(0)), GaussianRational(Fraction(1))]])
-    report.check(ok, "orthonormal_j_basis_standard", -1)
+    basis = _complex_basis(std.J)
+    gram = [[complex_form(std, u, v) for v in basis] for u in basis]
+    report.check(gram == [[1, 0], [0, 1]], "orthonormal_j_basis_standard", -1)
 
 
 def _suite_group_equality(config: GeneratorConfig, report: SuiteReport):
@@ -414,7 +412,6 @@ def _suite_group_equality(config: GeneratorConfig, report: SuiteReport):
 
 def _standard_pair_isometry(rng: random.Random, bound: int) -> Matrix:
     """Realified complex rotation: preserves the standard (g, J) pair."""
-    from .classify4 import _realify
     while True:
         sigma = random_gaussian_rational(rng, bound)
         denom = GaussianRational(Fraction(1)) + sigma * sigma
@@ -423,7 +420,7 @@ def _standard_pair_isometry(rng: random.Random, bound: int) -> Matrix:
     one = GaussianRational(Fraction(1))
     alpha = (one - sigma * sigma) / denom
     beta = (sigma + sigma) / denom
-    return _realify(Matrix([[alpha, -beta], [beta, alpha]]))
+    return _realify([[alpha, -beta], [beta, alpha]])
 
 
 def _suite_nabla_j_symmetric(config: GeneratorConfig, report: SuiteReport):

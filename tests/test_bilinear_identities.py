@@ -24,7 +24,7 @@ from antikahler.classify4 import (
 )
 from antikahler.geometry import (
     AntiHermitianStructure,
-    complexify,
+    complex_form,
     preserves_complexified_form,
     preserves_metric_and_j,
 )
@@ -76,10 +76,10 @@ def reference_transform_algebra(alg, p):
 
 
 def reference_is_isometry(s, t):
-    form = complexify(s)
     n = s.dim
     cols = [t.col(i) for i in range(n)]
-    return all(form.eval(cols[i], cols[j]) == form.eval(basis_vector(n, i), basis_vector(n, j))
+    return all(complex_form(s, cols[i], cols[j]) ==
+               complex_form(s, basis_vector(n, i), basis_vector(n, j))
                for i in range(n) for j in range(i, n))
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from antikahler import catalog
+from antikahler.classify4 import make_family_case1, make_family_case2
 from antikahler.cli.textio import format_structure, parse_structure
 from antikahler.geometry import (
     is_anti_kahler,
@@ -64,9 +65,9 @@ def test_exports_byte_stable():
 
 
 def test_parametrized_generators():
-    s = catalog.case1_entry(1, 0, 1)
+    s = make_family_case1(1, 0, 1)
     assert s == catalog.get("r-1-1_std").structure
-    s2 = catalog.case2_entry(1, 0, 0, 0)
+    s2 = make_family_case2(1, 0, 0, 0)
     assert s2 == catalog.get("affC_std").structure
 
 

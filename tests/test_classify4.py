@@ -2,8 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from antikahler import catalog, classify4
+from antikahler.cli.main import main
+from antikahler.cli.textio import format_structure
 from antikahler.classify4 import (
     DegenerateParametersError,
     InequivalentParametersError,
@@ -13,6 +17,7 @@ from antikahler.classify4 import (
     VERDICT_AFF,
     VERDICT_R,
     WitnessDerivationError,
+    _realify,
     aff_c_real,
     case1_isomorphism,
     case1_isomorphism_inverse,
@@ -48,6 +53,7 @@ from antikahler.geometry import (
 )
 from antikahler.liealg import LieAlgebra, is_bi_invariant_j
 from antikahler.scalars import GaussianRational, Matrix
+from antikahler.verifier import GeneratorConfig, random_structure
 
 CASE1_SAMPLES = [
     (1, 0, 1), (1, 1, 1), (2, 1, -1), (Fraction(1, 2), -1, 1),
@@ -316,6 +322,150 @@ class TestModuli:
                                   g_src=src.g, g_dst=dst.g,
                                   j_src=src.J, j_dst=dst.J)
         assert preserves_metric_and_j(src, witness)
+
+
+# ---------------------------------------------------------------------------
+# Q(i) maps as realified blocks, against 2 x 2 GaussianRational arithmetic
+
+I_UNIT = GaussianRational(Fraction(0), Fraction(1))
+ONE = GaussianRational(Fraction(1))
+ZERO = GaussianRational(Fraction(0))
+
+
+def gaussian_pair(t):
+    """(z1, z2) = (t1 + i t2, t3 + i t4)."""
+    t1, t2, t3, t4 = (Fraction(x) for x in t)
+    return GaussianRational(t1, t2), GaussianRational(t3, t4)
+
+
+def c2_mul(a, b):
+    return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)] for i in range(2)]
+
+
+def c2_inverse(a):
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    return [[a[1][1] / det, -a[0][1] / det], [-a[1][0] / det, a[0][0] / det]]
+
+
+def reference_scaling(z):
+    p = (z + ONE / z) * GaussianRational(Fraction(1, 2))
+    q = I_UNIT * (z - ONE / z) * GaussianRational(Fraction(1, 2))
+    return [[p, -q], [q, p]]
+
+
+def reference_anchor(t):
+    z1, z2 = gaussian_pair(t)
+    if z2 == I_UNIT * z1:
+        return reference_scaling(z1)
+    assert z2 == -I_UNIT * z1
+    return c2_mul(reference_scaling(-ONE / z1), [[ONE, ZERO], [ZERO, -ONE]])
+
+
+def reference_case2_equivalence_witness(t, t_other):
+    """The witness as built before Q(i) matrices were realified: the
+    complex 2 x 2 map in GaussianRational arithmetic, realified last."""
+    (z1, z2), (w1, w2) = gaussian_pair(t), gaussian_pair(t_other)
+    if not zeta_from_params(t).is_zero():
+        complex_map = c2_mul([[w1, -w2], [w2, w1]], c2_inverse([[z1, -z2], [z2, z1]]))
+    else:
+        complex_map = c2_mul(reference_anchor(t_other), c2_inverse(reference_anchor(t)))
+    witness = _realify(complex_map)
+    src, dst = make_family_case2(*t), make_family_case2(*t_other)
+    return next(c for c in (witness, -witness)
+                if verify_isomorphism(c, src.algebra, dst.algebra, g_src=src.g, g_dst=dst.g,
+                                      j_src=src.J, j_dst=dst.J))
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+gaussians = st.builds(GaussianRational, small, small)
+nonzero_gaussians = gaussians.filter(lambda z: not z.is_zero())
+c2_matrices = st.lists(st.lists(gaussians, min_size=2, max_size=2), min_size=2, max_size=2)
+
+
+def parts(z1, z2):
+    return (z1.re, z1.im, z2.re, z2.im)
+
+
+@st.composite
+def zeta_orbit_pairs(draw):
+    """(t, t') with zeta(t) = zeta(t') != 0: t' is (z1, z2) under a complex
+    rotation with parameter sigma, maybe swapped or negated."""
+    z1, z2 = draw(gaussians), draw(gaussians)
+    sigma = draw(gaussians)
+    den = ONE + sigma * sigma
+    assume(not (z1 * z1 + z2 * z2).is_zero() and not den.is_zero())
+    c, s = (ONE - sigma * sigma) / den, (sigma + sigma) / den
+    w1, w2 = c * z1 - s * z2, s * z1 + c * z2
+    if draw(st.booleans()):
+        w1, w2 = w2, w1
+    if draw(st.booleans()):
+        w1, w2 = -w1, -w2
+    return parts(z1, z2), parts(w1, w2)
+
+
+@st.composite
+def zeta_zero_pairs(draw):
+    """(t, t') on the isotropic orbit, each on the branch z2 = i z1 or z2 = -i z1."""
+    out = []
+    for _ in range(2):
+        z = draw(nonzero_gaussians)
+        out.append(parts(z, draw(st.sampled_from((I_UNIT, -I_UNIT))) * z))
+    return tuple(out)
+
+
+class TestRealifiedMaps:
+    @given(c2_matrices, c2_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_products_and_inverses_carry_over(self, a, b):
+        assert _realify(a) * _realify(b) == _realify(c2_mul(a, b))
+        det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+        assert _realify(a).det() == det.norm_sq()
+        if not det.is_zero():
+            assert _realify(a).inverse() == _realify(c2_inverse(a))
+
+    @given(zeta_orbit_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_reference_off_zero(self, pair):
+        t, t_other = pair
+        got = case2_equivalence_witness(t, t_other)
+        assert got.rows == reference_case2_equivalence_witness(t, t_other).rows
+
+    @given(zeta_zero_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_matches_reference_on_zero_orbit(self, pair):
+        t, t_other = pair
+        got = case2_equivalence_witness(t, t_other)
+        assert got.rows == reference_case2_equivalence_witness(t, t_other).rows
+
+
+class TestTargets:
+    def test_built_once_per_process(self):
+        assert r_minus_one_minus_one() is r_minus_one_minus_one()
+        assert aff_c_real() is aff_c_real()
+        assert r_minus_one_minus_one() == r_minus_one_minus_one.__wrapped__()
+        assert aff_c_real() == aff_c_real.__wrapped__()
+
+    def test_classify_reports_keep_their_bytes(self, tmp_path, capsys):
+        """classify documents on stream samples of kinds 1 and 2 are the same
+        with shared targets as with targets built afresh for every call."""
+        paths = []
+        for index in (1, 2, 7, 8, 13, 14):
+            path = tmp_path / f"s{index}.txt"
+            path.write_text(format_structure(random_structure(GeneratorConfig(dim=4), index)),
+                            encoding="utf-8")
+            paths.append(str(path))
+
+        def documents(fresh):
+            out = []
+            for path in paths:
+                if fresh:
+                    r_minus_one_minus_one.cache_clear()
+                    aff_c_real.cache_clear()
+                assert main(["classify", path, "--output", "machine"]) == 0
+                out.append(capsys.readouterr().out)
+            return out
+
+        assert documents(fresh=False) == documents(fresh=True)
 
 
 class TestClosedFormCurvature:

@@ -64,6 +64,7 @@ from antikahler.verifier import (
     random_invertible_matrix,
     random_structure,
 )
+from test_liealg import ad_basis
 
 # ---------------------------------------------------------------------------
 # reference implementations, one Fraction operation per entry
@@ -247,7 +248,7 @@ def ref_component_texts(r):
 
 def ref_killing_form(algebra):
     n = algebra.dim
-    ads = [algebra.ad_basis(i) for i in range(n)]
+    ads = [ad_basis(algebra, i) for i in range(n)]
     return Matrix([[sum(((ads[i] * ads[j])[k][k] for k in range(n)), Fraction(0))
                     for j in range(n)] for i in range(n)])
 
@@ -272,8 +273,21 @@ def ref_epsilon_parallel_holds(s, eps):
     return True
 
 
+def gaussian_det(rows):
+    """Determinant of a square matrix over Q(i) by cofactor expansion along
+    the first row, in GaussianRational arithmetic."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = GaussianRational(Fraction(0))
+    for j, z in enumerate(rows[0]):
+        term = z * gaussian_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
 def ref_random_metric(algebra, j_map, rng, bound=4, max_tries=200):
-    """The generator's metric assembly as a GaussianRational triple loop."""
+    """The generator's metric assembly as a GaussianRational triple loop,
+    with S nondegenerate by its cofactor determinant over Q(i)."""
     n = algebra.dim
     m = n // 2
     basis = _complex_basis(j_map)
@@ -285,8 +299,8 @@ def ref_random_metric(algebra, j_map, rng, bound=4, max_tries=200):
             for q in range(p, m):
                 z = random_gaussian_rational(rng, bound)
                 gram[p][q] = gram[q][p] = z
-        s_matrix = Matrix(gram)
-        if not _well_conditioned(s_matrix) or s_matrix.det() == 0:
+        real_part = Matrix([[z.re for z in row] for row in gram])
+        if not _well_conditioned(real_part) or gaussian_det(gram).is_zero():
             continue
         coords = [tuple(GaussianRational(frame_inv.col(i)[2 * p], frame_inv.col(i)[2 * p + 1])
                         for p in range(m)) for i in range(n)]

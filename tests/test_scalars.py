@@ -27,15 +27,6 @@ rational_entries = st.one_of(
     st.integers(-50, 50).map(Fraction),
     st.fractions(max_denominator=2**80),
 )
-# entries of mixed Q / Q(i) rows, zeros of both types drawn often; parts
-# with large denominators make one Z[i] denominator for a matrix huge
-mixed_entries = st.one_of(
-    st.just(Fraction(0)),
-    st.just(GaussianRational(Fraction(0))),
-    small_fractions,
-    st.builds(GaussianRational, small_fractions, small_fractions),
-    st.builds(GaussianRational, rational_entries, rational_entries),
-)
 # rationals whose denominators lie between 2**80 and 2**81
 huge_entries = st.builds(Fraction, st.integers(-(2**90), 2**90), st.integers(2**80, 2**81))
 
@@ -178,12 +169,6 @@ class TestInvert:
         if m.det() == 0:
             return
         assert m.inverse().inverse() == m
-
-    def test_gaussian_entries(self):
-        i = GaussianRational(Fraction(0), Fraction(1))
-        one = GaussianRational(Fraction(1))
-        m = Matrix([[one, i], [-i, one + one]])
-        assert m * m.inverse() == Matrix([[one, one - one], [one - one, one]])
 
 
 @st.composite
@@ -356,33 +341,19 @@ class TestZeroSkippingDot:
         got = _dot((Fraction(0),) * 3, (Fraction(1), Fraction(2), Fraction(3)))
         assert_same_scalar(got, Fraction(0))
 
-    def test_all_zero_row_against_gaussian_column(self):
-        z = GaussianRational(Fraction(0))
-        u = (Fraction(0), Fraction(0))
-        v = (GaussianRational(Fraction(1), Fraction(2)), z)
-        assert_same_scalar(_dot(u, v), dense_dot(u, v))
-        assert isinstance(_dot(u, v), GaussianRational)
-
     def test_interleaved_zeros(self):
         u = (Fraction(0), Fraction(3, 2), Fraction(0), Fraction(-1), Fraction(0))
         v = (Fraction(5), Fraction(2), Fraction(7), Fraction(0), Fraction(1, 3))
         assert_same_scalar(_dot(u, v), dense_dot(u, v))
 
-    def test_gaussian_zero_keeps_result_gaussian(self):
-        # the only Gaussian factor is a skipped zero; the dense sum is Gaussian
-        u = (Fraction(2), GaussianRational(Fraction(0)), Fraction(1))
-        v = (Fraction(3), Fraction(4), Fraction(0))
-        assert_same_scalar(_dot(u, v), dense_dot(u, v))
-        assert str(_dot(u, v)) == "6 + 0i"
-
-    @given(st.lists(st.tuples(mixed_entries, mixed_entries), min_size=1, max_size=7))
+    @given(st.lists(st.tuples(rational_entries, rational_entries), min_size=1, max_size=7))
     @settings(max_examples=200, deadline=None)
     def test_matches_dense_sum(self, pairs):
         u, v = zip(*pairs)
         assert_same_scalar(_dot(u, v), dense_dot(u, v))
 
-    @given(st.lists(mixed_entries, min_size=9, max_size=9),
-           st.lists(mixed_entries, min_size=9, max_size=9))
+    @given(st.lists(rational_entries, min_size=9, max_size=9),
+           st.lists(rational_entries, min_size=9, max_size=9))
     @settings(max_examples=100, deadline=None)
     def test_matrix_product_and_apply_match_dense(self, a, b):
         left = Matrix([a[0:3], a[3:6], a[6:9]])
@@ -397,7 +368,7 @@ class TestZeroSkippingDot:
 
 
 def dot_product(left: Matrix, right: Matrix) -> list:
-    """The product entry by entry through _dot, the path Q(i) operands take."""
+    """The product entry by entry through _dot, the reference for the integer product."""
     cols = list(zip(*right.rows))
     return [[_dot(row, col) for col in cols] for row in left.rows]
 
@@ -444,13 +415,6 @@ class TestFractionFreeProduct:
         ints = Matrix([[1, 2], [3, 4]])
         assert (ints * ints).rows == ((7, 10), (15, 22))
         assert all(type(x) is Fraction for row in (ints * ints).rows for x in row)
-        mixed = Matrix([[Fraction(1), GaussianRational(Fraction(0), Fraction(1))],
-                        [Fraction(0), Fraction(2)]])
-        rational = Matrix([[Fraction(1, 2), Fraction(0)], [Fraction(3), Fraction(1)]])
-        for left, right in ((mixed, rational), (rational, mixed)):
-            for got_row, want_row in zip((left * right).rows, dot_product(left, right)):
-                for got, want in zip(got_row, want_row):
-                    assert_same_scalar(got, want)
 
     @given(st.lists(st.lists(rational_entries, min_size=3, max_size=3),
                     min_size=1, max_size=4))
@@ -633,41 +597,6 @@ class TestFractionFreeElimination:
         assert_same_matrix(m.inverse(), reference_inverse(rows))
         assert m * m.inverse() == Matrix.identity(3)
 
-    @given(elimination_operands(entries=mixed_entries))
-    @settings(max_examples=100, deadline=None)
-    def test_gaussian_and_mixed_match_field_elimination(self, rows):
-        """Every value equals the field elimination's; a result is a
-        GaussianRational when any entry is one, and a Fraction otherwise."""
-        m = Matrix(rows)
-        field = (GaussianRational if any(type(x) is GaussianRational for row in rows for x in row)
-                 else Fraction)
-        assert m.rank() == reference_rank(rows)
-        got = m.nullspace()
-        assert got == reference_nullspace(rows)
-        assert all(type(x) is field for vec in got for x in vec)
-        if not m.is_square():
-            return
-        det = m.det()
-        assert det == reference_det(rows) and type(det) is field
-        want = reference_inverse(rows)
-        if want is None:
-            with pytest.raises(SingularMatrixError):
-                m.inverse()
-        else:
-            inverse = m.inverse()
-            assert [list(row) for row in inverse.rows] == want
-            assert all(type(x) is field for row in inverse.rows for x in row)
-
-    def test_gaussian_results_are_gaussian(self):
-        zero = GaussianRational(Fraction(0))
-        assert_same_scalar(Matrix([[zero]]).det(), zero)
-        i = GaussianRational(Fraction(0), Fraction(1))
-        m = Matrix([[i, Fraction(1)], [Fraction(-1), i]])
-        assert_same_scalar(m.det(), zero)
-        assert m.rank() == 1
-        assert m.nullspace() == [(i, GaussianRational(Fraction(1)))]
-        assert all(type(x) is GaussianRational for x in m.nullspace()[0])
-
     def test_integer_entries_are_exact_rationals(self):
         """int entries are rationals: det, inverse, rank and nullspace give the
         Fraction results of the same matrix written with Fractions."""
@@ -692,3 +621,17 @@ class TestFractionFreeElimination:
         wide = Matrix([[2, 4, 6, 8], [1, 3, 0, 1]])
         assert wide.rank() == 2
         assert_same_nullspace(wide, [[Fraction(x) for x in row] for row in wide.rows])
+
+
+class TestRationalOnly:
+    @pytest.mark.parametrize("op", [
+        Matrix.det, Matrix.rank, Matrix.inverse, Matrix.nullspace,
+        lambda m: m * Matrix.identity(2), lambda m: Matrix.identity(2) * m,
+    ], ids=["det", "rank", "inverse", "nullspace", "mul", "rmul"])
+    def test_gaussian_entry_is_named(self, op):
+        """Matrix is rational only: like signature, every arithmetic op reads
+        the integer form, which names the first entry in Q(i)."""
+        i = GaussianRational(Fraction(0), Fraction(1))
+        m = Matrix([[Fraction(1), i], [i, Fraction(0)]])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is GaussianRational"):
+            op(m)

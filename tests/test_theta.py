@@ -8,7 +8,7 @@ from antikahler.theta import (
     anti_kahler_via_theta,
     theta_bracket_form,
     theta_connection_form,
-    theta_form_ratio,
+    tensor_ratio,
     theta_is_pure,
     theta_is_skew,
 )
@@ -40,7 +40,7 @@ class TestThetaForms:
         conn = theta_connection_form(s)
         assert not bracket.is_zero()
         assert bracket == conn
-        assert theta_form_ratio(s) == 1
+        assert tensor_ratio(conn, bracket) == 1
 
     def test_sl2c_multiple_of_bracket_pairing(self):
         # bi-invariant g and J: theta(x,y,z) = 3 <[Jx, y], z>
