@@ -37,7 +37,6 @@ from .geometry import (
     twin_metric,
 )
 from .theta import (
-    ThetaTensor,
     anti_kahler_via_theta,
     theta_bracket_form,
     theta_connection_form,

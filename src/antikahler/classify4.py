@@ -556,12 +556,10 @@ def case2_equivalence_witness(t: Sequence, t_other: Sequence) -> Matrix:
 
     src = make_family_case2(*t_fr)
     dst = make_family_case2(*t2_fr)
-    for candidate in (witness, -witness):
-        if verify_isomorphism(candidate, src.algebra, dst.algebra,
-                              g_src=src.g, g_dst=dst.g,
-                              j_src=src.J, j_dst=dst.J):
-            return candidate
-    raise WitnessDerivationError("case-2 equivalence witness failed verification")
+    if not verify_isomorphism(witness, src.algebra, dst.algebra,
+                              g_src=src.g, g_dst=dst.g, j_src=src.J, j_dst=dst.J):
+        raise WitnessDerivationError("case-2 equivalence witness failed verification")
+    return witness
 
 
 @dataclass(frozen=True)

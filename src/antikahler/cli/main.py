@@ -198,11 +198,10 @@ def _cmd_curvature(args) -> int:
                     "curvature needs metric and complex-structure sections")
         return 2
     s = obj
-    conn = levi_civita(s)
-    r = curvature(s, conn)
-    rc, ric = _ricci(s, conn)
+    gamma = levi_civita(s).component_texts()
+    r = curvature(s)
+    rc, ric = _ricci(s)
     n = s.dim
-    gamma = conn.component_texts()
     riemann = r.component_texts()
     ricci_rows = rc.texts()
     if args.output == "machine":

@@ -185,19 +185,19 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
     return s._memo("levi_civita", build)
 
 
-def nabla_j_operators(s: AntiHermitianStructure,
-                      conn: Optional[Connection] = None) -> tuple[Matrix, ...]:
+def nabla_j_operators(s: AntiHermitianStructure) -> tuple[Matrix, ...]:
     """Operators (nabla_{e_i} J) = nabla_i J - J nabla_i; all zero iff anti-Kahler."""
-    return tuple(map(Matrix.from_cols, _nabla_j(s, conn or levi_civita(s)).fractions()))
+    return tuple(map(Matrix.from_cols, _nabla_j(s).fractions()))
 
 
-def _nabla_j(s: AntiHermitianStructure, conn: Connection) -> Tensor:
+def _nabla_j(s: AntiHermitianStructure) -> Tensor:
     """nabla_i J - J nabla_i laid out as the connection's tensor."""
-    return conn.tensor.pull(s.J, 1) - conn.tensor.push(s.J, 2)
+    gamma = levi_civita(s).tensor
+    return gamma.pull(s.J, 1) - gamma.push(s.J, 2)
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
-    return s._memo("anti_kahler", lambda: _nabla_j(s, levi_civita(s)).is_zero())
+    return s._memo("anti_kahler", lambda: _nabla_j(s).is_zero())
 
 
 class CurvatureTensor:
@@ -251,56 +251,40 @@ class CurvatureTensor:
         return self.tensor.texts()
 
 
-def _memo_own(s: AntiHermitianStructure, conn: Optional[Connection], key: str, build):
-    """build(None) memoized on s under key when conn is None or is s's own
-    memoized levi_civita(s); any other connection builds build(conn) fresh."""
-    if conn is None or conn is s._cache.get("levi_civita"):
-        return s._memo(key, lambda: build(None))
-    return build(conn)
-
-
 def _second_derivatives(gamma: Tensor) -> Tensor:
     """nabla_{e_i} nabla_{e_j} e_k laid out as [i][j][k][l] (coefficient of
     e_l), from sum_m Gamma[j][k][m] Gamma[i][m][l]."""
     return gamma.dot(gamma.permute((1, 0, 2))).permute((2, 0, 1, 3))
 
 
-def curvature(s: AntiHermitianStructure,
-              conn: Optional[Connection] = None) -> CurvatureTensor:
-    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs.
-
-    The tensor is memoized on s when conn is None or is s's own memoized
-    levi_civita(s); any other connection builds a fresh, unmemoized tensor.
-    """
-    def build(conn):
-        gamma = (conn or levi_civita(s)).tensor
+def curvature(s: AntiHermitianStructure) -> CurvatureTensor:
+    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs, memoized on s."""
+    def build():
+        gamma = levi_civita(s).tensor
         twice = _second_derivatives(gamma)
         # nabla_{[e_i, e_j]} e_k = sum_m C_ij^m nabla_{e_m} e_k
         bracket = _structure_tensor(s.algebra).dot(gamma)
         return CurvatureTensor(s.g, twice - twice.permute((1, 0, 2, 3)) - bracket)
 
-    return _memo_own(s, conn, "curvature", build)
+    return s._memo("curvature", build)
 
 
-def ricci(s: AntiHermitianStructure,
-          conn: Optional[Connection] = None) -> tuple[Matrix, Matrix]:
+def ricci(s: AntiHermitianStructure) -> tuple[Matrix, Matrix]:
     """Ricci tensor Rc and operator Ric with Rc(x, y) = g(Ric x, y).
 
     Rc_jk = sum_i R^i_{ijk} (trace over the first curvature slot);
-    Ric = g^{-1} Rc.  Memoized, together with the curvature it traces, under
-    the same rule as curvature(): when conn is None or s's own levi_civita(s).
+    Ric = g^{-1} Rc.  Memoized on s, like the curvature it traces.
     """
-    return _memo_own(s, conn, "ricci",
-                     lambda conn: tuple(Matrix(t.fractions()) for t in _ricci(s, conn)))
+    return s._memo("ricci", lambda: tuple(Matrix(t.fractions()) for t in _ricci(s)))
 
 
-def _ricci(s: AntiHermitianStructure, conn: Optional[Connection] = None) -> tuple:
-    """ricci(s, conn) as the tensors (Rc, Ric), memoized the same way."""
-    def build(conn):
-        rc = curvature(s, conn).tensor.trace(0, 3)
+def _ricci(s: AntiHermitianStructure) -> tuple:
+    """ricci(s) as the tensors (Rc, Ric), memoized on s."""
+    def build():
+        rc = curvature(s).tensor.trace(0, 3)
         return rc, rc.push(s.g_inv, 0)
 
-    return _memo_own(s, conn, "ricci_tensors", build)
+    return s._memo("ricci_tensors", build)
 
 
 def is_flat(s: AntiHermitianStructure) -> bool:
@@ -400,16 +384,14 @@ def preserves_complexified_form(s: AntiHermitianStructure, t: Matrix) -> bool:
     return _congruent(g, *t_int, 1) and _congruent(int_matmul(jt, g), *t_int, 1)
 
 
-def satisfies_abelian_connection_rule(s: AntiHermitianStructure,
-                                      conn: Optional[Connection] = None) -> bool:
+def satisfies_abelian_connection_rule(s: AntiHermitianStructure) -> bool:
     """nabla_{Jx} y = -J nabla_x y on the basis."""
-    return _j_direction_rule(s, (conn or levi_civita(s)).tensor, -1)
+    return _j_direction_rule(s, levi_civita(s).tensor, -1)
 
 
-def satisfies_bi_invariant_connection_rule(s: AntiHermitianStructure,
-                                           conn: Optional[Connection] = None) -> bool:
+def satisfies_bi_invariant_connection_rule(s: AntiHermitianStructure) -> bool:
     """nabla_{Jx} y = J nabla_x y on the basis."""
-    return _j_direction_rule(s, (conn or levi_civita(s)).tensor, 1)
+    return _j_direction_rule(s, levi_civita(s).tensor, 1)
 
 
 def _j_direction_rule(s, t: Tensor, sign) -> bool:
@@ -418,10 +400,9 @@ def _j_direction_rule(s, t: Tensor, sign) -> bool:
     return t.pull(s.J, 0) == t.push(s.J, 2) * sign
 
 
-def epsilon_parallel_holds(s: AntiHermitianStructure, eps: int,
-                           conn: Optional[Connection] = None) -> bool:
+def epsilon_parallel_holds(s: AntiHermitianStructure, eps: int) -> bool:
     """(nabla_{Jx} J) y = eps J (nabla_x J) y on the basis, eps in {+1, -1}."""
-    return _j_direction_rule(s, _nabla_j(s, conn or levi_civita(s)), eps)
+    return _j_direction_rule(s, _nabla_j(s), eps)
 
 
 def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
@@ -440,8 +421,7 @@ def killing_anti_invariant(s: AntiHermitianStructure) -> bool:
     return _congruent(_killing_tensor(s.algebra).rows(), *s.J.integer_form, -1)
 
 
-def second_derivatives_commute(s: AntiHermitianStructure,
-                               conn: Optional[Connection] = None) -> bool:
+def second_derivatives_commute(s: AntiHermitianStructure) -> bool:
     """nabla_{e_i} nabla_{e_j} = nabla_{e_j} nabla_{e_i} as operator tables."""
-    twice = _second_derivatives((conn or levi_civita(s)).tensor)
+    twice = _second_derivatives(levi_civita(s).tensor)
     return twice == twice.permute((1, 0, 2, 3))

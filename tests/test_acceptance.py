@@ -83,8 +83,8 @@ def test_criterion_01_worked_example_n7():
         for k, coeff in terms.items():
             want[k] = coeff
         assert conn.nabla_basis(i).col(j) == tuple(want)
-    assert all(op.is_zero() for op in nabla_j_operators(s, conn))
-    assert curvature(s, conn).is_zero()
+    assert all(op.is_zero() for op in nabla_j_operators(s))
+    assert curvature(s).is_zero()
     assert s.algebra.is_unimodular()
     alg, j_map = s.algebra, s.J
     for i in range(6):
@@ -249,10 +249,9 @@ def test_criterion_07_abelian_j_identities():
                 catalog.get("abelian4").structure]
     for s in variants:
         assert is_anti_kahler(s)
-        conn = levi_civita(s)
-        assert satisfies_abelian_connection_rule(s, conn)
-        assert conn == abelian_j_connection(s)
-        assert second_derivatives_commute(s, conn)
+        assert satisfies_abelian_connection_rule(s)
+        assert levi_civita(s) == abelian_j_connection(s)
+        assert second_derivatives_commute(s)
         b = s.algebra.killing_form()
         assert s.J.transpose() * b * s.J == -b
     _passed(7, "abelian-J connection identities on 6 structures")

@@ -413,6 +413,20 @@ def zeta_zero_pairs(draw):
     return tuple(out)
 
 
+small_ratios = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4))
+
+
+@st.composite
+def orbit_partners(draw):
+    """(t, t') with t' = -t, (t3, t4, t1, t2), (-t3, -t4, t1, t2) or
+    (t3, t4, -t1, -t2): zeta(t') = zeta(t), on and off the zeta = 0 orbit."""
+    t1, t2, t3, t4 = t = tuple(draw(small_ratios) for _ in range(4))
+    assume(any(t))
+    partner = draw(st.sampled_from(((-t1, -t2, -t3, -t4), (t3, t4, t1, t2),
+                                    (-t3, -t4, t1, t2), (t3, t4, -t1, -t2))))
+    return t, partner
+
+
 class TestRealifiedMaps:
     @given(c2_matrices, c2_matrices)
     @settings(max_examples=80, deadline=None)
@@ -433,6 +447,15 @@ class TestRealifiedMaps:
     @given(zeta_zero_pairs())
     @settings(max_examples=60, deadline=None)
     def test_witness_matches_reference_on_zero_orbit(self, pair):
+        t, t_other = pair
+        got = case2_equivalence_witness(t, t_other)
+        assert got.rows == reference_case2_equivalence_witness(t, t_other).rows
+
+    @given(st.one_of(orbit_partners(), zeta_zero_pairs()))
+    @settings(max_examples=120, deadline=None)
+    def test_witness_needs_no_sign_flip(self, pair):
+        """The derived witness verifies as built: the reference, which also
+        tries its negative, returns the same map."""
         t, t_other = pair
         got = case2_equivalence_witness(t, t_other)
         assert got.rows == reference_case2_equivalence_witness(t, t_other).rows

@@ -40,6 +40,7 @@ from antikahler.geometry import (
 )
 from antikahler.liealg import LieAlgebra
 from antikahler.scalars import GaussianRational, Matrix, signature
+from antikahler.theta import anti_kahler_via_theta, theta_connection_form
 from antikahler.verifier import GeneratorConfig, random_structure
 
 
@@ -252,19 +253,23 @@ def fresh(name):
 
 
 class TestMemo:
-    def test_own_connection_uses_memo(self):
+    def test_own_connection_uses_memo(self, monkeypatch):
+        """Every derived object reads the one memoized Levi-Civita connection."""
+        built = []
+        of = Connection._of
+        monkeypatch.setattr(Connection, "_of",
+                            classmethod(lambda cls, gamma: built.append(gamma) or of(gamma)))
         s = fresh("sl2c_killing")
-        assert curvature(s, levi_civita(s)) is curvature(s)
-        assert ricci(s, levi_civita(s)) is ricci(s)
-
-    def test_foreign_connection_is_not_memoized(self):
-        s = fresh("sl2c_killing")
-        other = Connection(levi_civita(s).operators)
-        r, memo = curvature(s, other), curvature(s)
-        assert r is not memo
-        assert all(r.op(i, j) == memo.op(i, j) for i in range(6) for j in range(6))
-        assert ricci(s, other) is not ricci(s)
-        assert ricci(s, other) == ricci(s)
+        assert curvature(s) is curvature(s)
+        assert ricci(s) is ricci(s)
+        nabla_j_operators(s)
+        theta_connection_form(s)
+        satisfies_abelian_connection_rule(s)
+        satisfies_bi_invariant_connection_rule(s)
+        epsilon_parallel_holds(s, 1)
+        second_derivatives_commute(s)
+        anti_kahler_via_theta(s)
+        assert len(built) == 1 and levi_civita(s) is levi_civita(s)
 
 
 class TestLazyFractionViews:
@@ -288,20 +293,16 @@ class TestLazyFractionViews:
 
 
 class TestRicci:
-    def test_trace_of_components_for_any_connection(self):
-        # a connection that is not Levi-Civita, and one given with int entries
+    def test_trace_of_components(self):
         for s in sample_structures():
             n = s.dim
-            ops = levi_civita(s).operators
-            for conn in (abelian_j_connection(s),
-                         Connection([ops[0].map(lambda x: int(x * 2 ** 64))] + list(ops[1:]))):
-                r = curvature(s, conn)
-                rc, ric = ricci(s, conn)
-                want = Matrix([[sum((r.component(i, j, k, i) for i in range(n)),
-                                    Fraction(0)) for k in range(n)] for j in range(n)])
-                assert rc == want
-                assert ric == s.g_inv * want
-                assert all(type(x) is Fraction for row in rc.rows for x in row)
+            r = curvature(s)
+            rc, ric = ricci(s)
+            want = Matrix([[sum((r.component(i, j, k, i) for i in range(n)),
+                                Fraction(0)) for k in range(n)] for j in range(n)])
+            assert rc == want
+            assert ric == s.g_inv * want
+            assert all(type(x) is Fraction for row in rc.rows for x in row)
 
     def test_case2_unit(self):
         s = make_family_case2(1, 0, 0, 0)

@@ -48,7 +48,6 @@ from antikahler.scalars import (
     fractions_over,
 )
 from antikahler.theta import (
-    ThetaTensor,
     anti_kahler_via_theta,
     theta_bracket_form,
     theta_connection_form,
@@ -68,6 +67,11 @@ from test_liealg import ad_basis
 
 # ---------------------------------------------------------------------------
 # reference implementations, one Fraction operation per entry
+
+
+def tensor3(entries):
+    """The order-3 Tensor t[i, j, k] = entries[i][j][k]."""
+    return Tensor.of(len(entries), 3, (x for plane in entries for row in plane for x in row))
 
 
 def nabla_direction(conn, x):
@@ -133,8 +137,8 @@ def ref_theta_bracket_form(s):
         vec = alg.bracket(J.col(i), basis_vector(n, j))
         return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
 
-    return ThetaTensor([[[pair(i, j, k) + pair(j, k, i) + pair(k, i, j)
-                          for k in range(n)] for j in range(n)] for i in range(n)])
+    return tensor3([[[pair(i, j, k) + pair(j, k, i) + pair(k, i, j)
+                      for k in range(n)] for j in range(n)] for i in range(n)])
 
 
 def ref_theta_connection_form(s):
@@ -147,12 +151,12 @@ def ref_theta_connection_form(s):
         vec = d_ops[i].col(j)
         return sum((vec[m] * g[m][k] for m in range(n) if vec[m]), Fraction(0))
 
-    return ThetaTensor([[[delta(i, j, k) + delta(j, k, i) + delta(k, i, j)
-                          for k in range(n)] for j in range(n)] for i in range(n)])
+    return tensor3([[[delta(i, j, k) + delta(j, k, i) + delta(k, i, j)
+                      for k in range(n)] for j in range(n)] for i in range(n)])
 
 
 def ref_with_j_in_slot(theta, j_map, slot):
-    n = theta.dim
+    n, entries = theta.n, theta.fractions()
     out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -164,9 +168,9 @@ def ref_with_j_in_slot(theta, j_map, slot):
                     if coeff:
                         sub = list(idx)
                         sub[slot] = m
-                        total += coeff * theta.entries[sub[0]][sub[1]][sub[2]]
+                        total += coeff * entries[sub[0]][sub[1]][sub[2]]
                 out[i][j][k] = total
-    return ThetaTensor(out)
+    return tensor3(out)
 
 
 def ref_theta_is_pure(theta, j_map):
@@ -456,7 +460,7 @@ class TestThetaContractions:
         assert conn_form == ref_theta_connection_form(s)
         assert bracket_form == ref_theta_bracket_form(s)
         assert all(type(x) is Fraction for form in (conn_form, bracket_form)
-                   for plane in form.entries for row in plane for x in row)
+                   for plane in form.fractions() for row in plane for x in row)
 
     @given(structures())
     @settings(max_examples=40, deadline=None)
@@ -471,9 +475,9 @@ class TestThetaContractions:
         rng = random.Random(7)
         entries = [[[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(6)]
                     for _ in range(6)] for _ in range(6)]
-        theta = ThetaTensor(entries)
+        theta = tensor3(entries)
         assert theta_is_pure(theta, s.J) == ref_theta_is_pure(theta, s.J)
-        zero = ThetaTensor([[[Fraction(0)] * 6] * 6] * 6)
+        zero = tensor3([[[Fraction(0)] * 6] * 6] * 6)
         assert theta_is_pure(zero, s.J) and theta_is_skew(zero)
 
 

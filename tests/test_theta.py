@@ -52,7 +52,7 @@ class TestThetaForms:
                 vec = alg.bracket(j.col(i), basis(6, jdx))
                 for k in range(6):
                     base = sum((vec[m] * g[m][k] for m in range(6)), Fraction(0))
-                    assert theta(i, jdx, k) == 3 * base
+                    assert theta[i, jdx, k] == 3 * base
 
 
 class TestSkewPure:
@@ -99,7 +99,7 @@ class TestNormalizedBasisIdentities:
             for u in range(4):
                 for v in range(4):
                     jv = s.J.col(v)
-                    value = sum((jv[m] * theta(u, v, m) for m in range(4)),
+                    value = sum((jv[m] * theta[u, v, m] for m in range(4)),
                                 Fraction(0))
                     assert value == 0  # theta(u, v, Jv) = 0
 

@@ -24,6 +24,7 @@ from antikahler.verifier import (
     sample_rng,
     split_seed,
 )
+from test_j_contractions import fraction_views
 
 
 class TestDeterminism:
@@ -125,6 +126,14 @@ class TestSuitesRun:
     def test_suite_passes_dim6(self, name):
         report = run_suite(name, GeneratorConfig(master_seed=23, samples=4, dim=6))
         assert report.passed, report.to_text()
+
+    @pytest.mark.parametrize("name", ["worked_example_n7", "case2_curvature"])
+    def test_suite_builds_no_fraction_view(self, name):
+        """The closed forms are compared with the integer tensors."""
+        with fraction_views() as views:
+            report = run_suite(name, GeneratorConfig(master_seed=17, samples=5, dim=4))
+        assert report.passed and report.checks > 0
+        assert views == []
 
 
 class TestReportFormat:
