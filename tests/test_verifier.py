@@ -141,8 +141,7 @@ class TestReportFormat:
         cfg = GeneratorConfig(master_seed=1, samples=1, dim=4)
         report = SuiteReport(suite="demo", config=cfg)
         s = catalog.get("affC_std").structure
-        from antikahler.cli.textio import format_structure
-        report.check(False, "demo_assertion", 0, format_structure(s))
+        report.check(False, "demo_assertion", 0, s)
         assert not report.passed
         text = report.to_text()
         assert "result: FAIL" in text
@@ -151,6 +150,25 @@ class TestReportFormat:
             line[2:] for line in text.splitlines()
             if line.startswith("  "))
         assert parse_structure(payload) == s
+
+    def test_passing_suite_formats_no_structure(self, monkeypatch):
+        import antikahler.cli.textio as textio
+        formatted = []
+        monkeypatch.setattr(textio, "format_structure", lambda s: formatted.append(s))
+        report = run_suite("koszul_laws", GeneratorConfig(master_seed=5, samples=4, dim=4))
+        assert report.passed and report.checks > 0
+        assert formatted == []
+
+    def test_failing_suite_keeps_its_counterexample_text(self, monkeypatch):
+        """The first failing check's structure, formatted as before."""
+        import antikahler.verifier as verifier
+        monkeypatch.setattr(verifier, "signature", lambda g: (0, 0, 0))
+        config = GeneratorConfig(master_seed=5, samples=3, dim=4)
+        report = run_suite("neutral_signature", config)
+        assert report.checks == 3 and len(report.failures) == 3
+        assert report.counterexample == format_structure(random_structure(config, 0))
+        assert ("counterexample:\n  " + format_structure(random_structure(config, 0))
+                .rstrip("\n").replace("\n", "\n  ")) in report.to_text()
 
     def test_zero_checks_is_a_failure(self):
         report = SuiteReport(suite="demo",
