@@ -17,7 +17,6 @@ from .liealg import (
     is_bi_invariant_j,
     jacobi_residual,
     nijenhuis,
-    nijenhuis_is_zero,
 )
 from .geometry import (
     AntiHermitianStructure,
@@ -32,7 +31,7 @@ from .geometry import (
     is_flat,
     is_ricci_flat,
     levi_civita,
-    nabla_j_operators,
+    nabla_j,
     ricci,
     twin_metric,
 )

@@ -22,7 +22,6 @@ from ..classify4 import (
     classify,
 )
 from ..geometry import (
-    _ricci,
     curvature,
     curvature_is_pure,
     is_anti_kahler,
@@ -32,13 +31,14 @@ from ..geometry import (
     is_ricci_flat,
     killing_anti_invariant,
     levi_civita,
+    ricci,
 )
 from ..liealg import (
     LieAlgebra,
     is_abelian_j,
     is_anti_abelian_j,
     is_bi_invariant_j,
-    nijenhuis_is_zero,
+    nijenhuis,
 )
 from ..scalars import format_rational, signature
 from ..theta import anti_kahler_via_theta
@@ -165,7 +165,7 @@ def _cmd_check(args) -> int:
         "abelian_complex_structure": abelian_j,
         "bi_invariant_complex_structure": is_bi_invariant_j(s.algebra, s.J),
         "anti_abelian_complex_structure": is_anti_abelian_j(s.algebra, s.J),
-        "nijenhuis_zero": nijenhuis_is_zero(s.algebra, s.J),
+        "nijenhuis_zero": nijenhuis(s.algebra, s.J).is_zero(),
         "unimodular": s.algebra.is_unimodular(),
         "anti_kahler_nabla": anti_kahler,
         "anti_kahler_theta": anti_kahler_via_theta(s),
@@ -201,11 +201,11 @@ def _cmd_curvature(args) -> int:
                     "curvature needs metric and complex-structure sections")
         return 2
     s = obj
-    gamma = levi_civita(s).component_texts()
-    r = curvature(s)
-    rc, ric = _ricci(s)
+    gamma = levi_civita(s).tensor.texts()
+    r = curvature(s).tensor
+    rc, ric = ricci(s)
     n = s.dim
-    riemann = r.component_texts()
+    riemann = r.texts()
     ricci_rows = rc.texts()
     if args.output == "machine":
         print(json.dumps({

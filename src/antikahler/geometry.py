@@ -106,39 +106,21 @@ def _congruent(b: list, t: list, tt: list, dt: int, sign: int) -> bool:
 
 
 class Connection:
-    """Levi-Civita data: operators M_i with M_i column j = nabla_{e_i} e_j.
+    """Levi-Civita data: the Christoffel tensor Gamma[i][j][k], the
+    coefficient of e_k in nabla_{e_i} e_j, over its smallest denominator.
 
-    Stored as the Christoffel tensor Gamma[i][j][k] (coefficient of e_k in
-    nabla_{e_i} e_j) over its smallest denominator, which is the lcm of the
-    reduced Fraction denominators.  The Fraction operators are built on
-    first read of ``operators``.
+    ``operators`` (M_i with column j = nabla_{e_i} e_j, in Fractions) is
+    built on first read.
     """
 
     __slots__ = ("tensor", "_operators")
 
-    def __init__(self, operators: Sequence[Matrix]):
-        operators = tuple(operators)
-        self._store(Tensor.of(len(operators), 3,
-                              (x for m in operators for col in zip(*m.rows) for x in col)),
-                    operators)
-
-    @classmethod
-    def _of(cls, gamma: Tensor) -> "Connection":
-        """The connection with Christoffel tensor gamma, reduced."""
-        conn = cls.__new__(cls)
-        conn._store(gamma.reduced(), None)
-        return conn
-
-    def _store(self, tensor, operators):
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "_operators", operators)
+    def __init__(self, gamma: Tensor):
+        object.__setattr__(self, "tensor", gamma.reduced())
+        object.__setattr__(self, "_operators", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Connection is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.tensor.n
 
     @property
     def operators(self) -> tuple:
@@ -146,22 +128,6 @@ class Connection:
             object.__setattr__(self, "_operators", tuple(map(Matrix.from_cols,
                                                              self.tensor.fractions())))
         return self._operators
-
-    def nabla_basis(self, i: int) -> Matrix:
-        return self.operators[i]
-
-    def gamma(self, i: int, j: int, k: int) -> Fraction:
-        """Coefficient of e_k in nabla_{e_i} e_j."""
-        return self.tensor[i, j, k]
-
-    def component_texts(self) -> list:
-        """Every Gamma^k_{ij} as its exact rational string, out[i][j][k]."""
-        return self.tensor.texts()
-
-    def __eq__(self, other):
-        if not isinstance(other, Connection):
-            return NotImplemented
-        return self.tensor == other.tensor
 
 
 def _lowered_structure(s: AntiHermitianStructure) -> Tensor:
@@ -181,38 +147,33 @@ def levi_civita(s: AntiHermitianStructure) -> Connection:
         low = _lowered_structure(s)
         rhs = low - low.permute((2, 0, 1)) + low.permute((1, 2, 0))
         # g^{-1} is symmetric, so contracting the last slot with it solves for nabla
-        return Connection._of(rhs.pull(s.g_inv, 2) / 2)
+        return Connection(rhs.pull(s.g_inv, 2) / 2)
 
     return s._memo("levi_civita", build)
 
 
-def nabla_j_operators(s: AntiHermitianStructure) -> tuple[Matrix, ...]:
-    """Operators (nabla_{e_i} J) = nabla_i J - J nabla_i; all zero iff anti-Kahler."""
-    return tuple(map(Matrix.from_cols, _nabla_j(s).fractions()))
-
-
-def _nabla_j(s: AntiHermitianStructure) -> Tensor:
-    """nabla_i J - J nabla_i laid out as the connection's tensor."""
+def nabla_j(s: AntiHermitianStructure) -> Tensor:
+    """nabla_i J - J nabla_i laid out as the connection's tensor; zero iff
+    anti-Kahler."""
     gamma = levi_civita(s).tensor
     return gamma.pull(s.J, 1) - gamma.push(s.J, 2)
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
-    return s._memo("anti_kahler", lambda: _nabla_j(s).is_zero())
+    return s._memo("anti_kahler", lambda: nabla_j(s).is_zero())
 
 
 class CurvatureTensor:
-    """R(e_i, e_j) as operators, with the g-lowered form available.
+    """The tensor R[i][j][k][l] = R^l_{ijk}, the coefficient of e_l in
+    R(e_i, e_j) e_k, for every pair (i, j).
 
-    Stored as the tensor R[i][j][k][l] = R^l_{ijk}, the coefficient of e_l in
-    R(e_i, e_j) e_k, for every pair (i, j).  op, component and lowered read
-    it; the Fraction operators ``_ops`` (keys i < j) are built on first read.
+    The Fraction operators ``_ops`` (R(e_i, e_j) for keys i < j) are built
+    on first read.
     """
 
-    __slots__ = ("g", "tensor", "_fraction_ops")
+    __slots__ = ("tensor", "_fraction_ops")
 
-    def __init__(self, g: Matrix, tensor: Tensor):
-        object.__setattr__(self, "g", g)
+    def __init__(self, tensor: Tensor):
         object.__setattr__(self, "tensor", tensor)
         object.__setattr__(self, "_fraction_ops", None)
 
@@ -220,36 +181,13 @@ class CurvatureTensor:
         raise AttributeError("CurvatureTensor is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.tensor.n
-
-    @property
     def _ops(self) -> dict:
         if self._fraction_ops is None:
-            n = self.dim
+            r, n = self.tensor, self.tensor.n
             object.__setattr__(self, "_fraction_ops", {
-                (i, j): self.op(i, j) for i in range(n) for j in range(i + 1, n)})
+                (i, j): Matrix.from_cols(r[i, j].fractions())
+                for i in range(n) for j in range(i + 1, n)})
         return self._fraction_ops
-
-    def op(self, i: int, j: int) -> Matrix:
-        """Operator R(e_i, e_j); antisymmetric in (i, j) by construction."""
-        return Matrix.from_cols(self.tensor[i, j].fractions())
-
-    def component(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """R^l_{ijk}: coefficient of e_l in R(e_i, e_j) e_k."""
-        return self.tensor[i, j, k, l]
-
-    def lowered(self, i: int, j: int, k: int, l: int) -> Fraction:
-        """R_{ijkl} = g(R(e_i, e_j) e_k, e_l)."""
-        return self.tensor[i, j, k].pull(self.g, 0)[l]
-
-    def is_zero(self) -> bool:
-        return self.tensor.is_zero()
-
-    def component_texts(self) -> list:
-        """Every R^l_{ijk} as its exact rational string, out[i][j][k][l],
-        formatted from the integer numerators."""
-        return self.tensor.texts()
 
 
 def _second_derivatives(gamma: Tensor) -> Tensor:
@@ -290,24 +228,17 @@ def curvature(s: AntiHermitianStructure) -> CurvatureTensor:
                 ab, ba = (a * n + a + 1 + p) * nn, ((a + 1 + p) * n + a) * nn
                 out[ab:ab + nn] = block
                 out[ba:ba + nn] = [-x for x in block]
-        return CurvatureTensor(s.g, Tensor(n, 4, out, den))
+        return CurvatureTensor(Tensor(n, 4, out, den))
 
     return s._memo("curvature", build)
 
 
-def ricci(s: AntiHermitianStructure) -> tuple[Matrix, Matrix]:
-    """Ricci tensor Rc and operator Ric with Rc(x, y) = g(Ric x, y).
+def ricci(s: AntiHermitianStructure) -> tuple[Tensor, Tensor]:
+    """Ricci tensor Rc and operator Ric with Rc(x, y) = g(Ric x, y), memoized on s.
 
-    Rc_jk = sum_i R^i_{ijk} (trace over the first curvature slot);
-    Ric = g^{-1} Rc.  Memoized on s, like the curvature it traces.
-    """
-    return s._memo("ricci", lambda: tuple(Matrix(t.fractions()) for t in _ricci(s)))
-
-
-def _ricci(s: AntiHermitianStructure) -> tuple:
-    """ricci(s) as the tensors (Rc, Ric), memoized on s.
-
-    A memoized curvature is traced.  Otherwise Rc comes from Gamma, as
+    Rc_jk = sum_i R^i_{ijk} (trace over the first curvature slot) and
+    Ric[i, j] is entry (i, j) of the matrix g^{-1} Rc.  A memoized curvature is
+    traced.  Otherwise Rc comes from Gamma, as
     Rc_jk = sum_m Gamma[j][k][m] v_m - sum_{i,m} (Gamma[j][m][i] - C_jm^i)
     Gamma[i][k][m] with v_m = sum_i Gamma[i][m][i], in n^4 work."""
     def build():
@@ -319,14 +250,14 @@ def _ricci(s: AntiHermitianStructure) -> tuple:
                   - (gamma - _structure_tensor(s.algebra)).dot(gamma.permute((2, 0, 1)), 2))
         return rc, rc.push(s.g_inv, 0)
 
-    return s._memo("ricci_tensors", build)
+    return s._memo("ricci", build)
 
 
 def is_flat(s: AntiHermitianStructure) -> bool:
     """R = 0; a nonzero Ricci tensor decides False before R is built."""
     if "curvature" not in s._cache and not is_ricci_flat(s):
         return False
-    return curvature(s).is_zero()
+    return curvature(s).tensor.is_zero()
 
 
 def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
@@ -336,7 +267,7 @@ def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
     Rc = rc / d and g = G / dg, lambda = rc_ij dg / (d G_ij) for that entry
     (i, j), and Rc = lambda g reads rc G_ij = rc_ij G on the integers.
     """
-    rc = _ricci(s)[0]
+    rc = ricci(s)[0]
     rows, (g, _, dg) = rc.rows(), s.g.integer_form
     i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x)
     gij, rij = g[i][j], rows[i][j]
@@ -346,7 +277,7 @@ def is_einstein(s: AntiHermitianStructure) -> tuple[bool, Optional[Fraction]]:
 
 
 def is_ricci_flat(s: AntiHermitianStructure) -> bool:
-    return _ricci(s)[0].is_zero()
+    return ricci(s)[0].is_zero()
 
 
 def curvature_is_pure(s: AntiHermitianStructure) -> bool:
@@ -363,7 +294,7 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     built."""
     j = s.J
     if "curvature" not in s._cache:
-        rc = _ricci(s)[0]
+        rc = ricci(s)[0]
         if rc.pull(j, 0) != rc.pull(j, 1):
             return False
     r = curvature(s).tensor
@@ -449,18 +380,19 @@ def _j_direction_rule(s, t: Tensor, sign) -> bool:
 
 def epsilon_parallel_holds(s: AntiHermitianStructure, eps: int) -> bool:
     """(nabla_{Jx} J) y = eps J (nabla_x J) y on the basis, eps in {+1, -1}."""
-    return _j_direction_rule(s, _nabla_j(s), eps)
+    return _j_direction_rule(s, nabla_j(s), eps)
 
 
-def abelian_j_connection(s: AntiHermitianStructure) -> Connection:
-    """Closed form nabla_x y = 1/2 ([x, y] - J [x, Jy]).
+def abelian_j_connection(s: AntiHermitianStructure) -> Tensor:
+    """Closed form nabla_x y = 1/2 ([x, y] - J [x, Jy]), laid out as the
+    connection's tensor.
 
     Valid Levi-Civita formula exactly when the structure is anti-Kahler with
     an abelian J; exposed independently so the Koszul path can be checked
     against it.
     """
     c = _structure_tensor(s.algebra)
-    return Connection._of((c - c.pull(s.J, 1).push(s.J, 2)) / 2)
+    return (c - c.pull(s.J, 1).push(s.J, 2)) / 2
 
 
 def killing_anti_invariant(s: AntiHermitianStructure) -> bool:

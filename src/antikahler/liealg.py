@@ -242,24 +242,15 @@ def _checked_structure(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
     return _structure_tensor(algebra)
 
 
-def _nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
-    """C(J x J) - J C(J x 1) - J C(1 x J) - C, laid out as C."""
+def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
+    """N(e_i, e_j) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y] on basis pairs,
+    laid out as C: C(J x J) - J C(J x 1) - J C(1 x J) - C.
+
+    Vanishes identically iff J is integrable in the left-invariant sense.
+    """
     c = _checked_structure(algebra, j_map)
     cj = c.pull(j_map, 0)
     return cj.pull(j_map, 1) - cj.push(j_map, 2) - c.pull(j_map, 1).push(j_map, 2) - c
-
-
-def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> tuple:
-    """Table N(e_i, e_j) of [Jx,Jy] - J[Jx,y] - J[x,JY] - [x,y] on basis pairs.
-
-    Vanishes identically iff J is integrable in the left-invariant sense.
-    Computed over integers by _nijenhuis.
-    """
-    return _nijenhuis(algebra, j_map).fractions()
-
-
-def nijenhuis_is_zero(algebra: LieAlgebra, j_map: Matrix) -> bool:
-    return _nijenhuis(algebra, j_map).is_zero()
 
 
 def is_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:

@@ -23,20 +23,19 @@ from .liealg import _structure_tensor
 from .scalars import Matrix, Tensor
 
 
-def _cyclic_lowered(s: AntiHermitianStructure, t: Tensor, cyclic: bool = True) -> Tensor:
-    """P(x, y, z) = g(v(x, y), z), or its cyclic sum, for v(e_i, e_j) = t[i][j]."""
-    p = t.pull(s.g, 2)
-    return p + p.permute((2, 0, 1)) + p.permute((1, 2, 0)) if cyclic else p
+def _cyclic(p: Tensor) -> Tensor:
+    """P(x, y, z) + P(y, z, x) + P(z, x, y)."""
+    return p + p.permute((2, 0, 1)) + p.permute((1, 2, 0))
 
 
-def j_bracket_pairing(s: AntiHermitianStructure, cyclic: bool = False) -> Tensor:
-    """<[Jx, y], z> on basis triples, or its cyclic sum."""
-    return _cyclic_lowered(s, _structure_tensor(s.algebra).pull(s.J, 0), cyclic)
+def j_bracket_pairing(s: AntiHermitianStructure) -> Tensor:
+    """<[Jx, y], z> on basis triples."""
+    return _structure_tensor(s.algebra).pull(s.J, 0).pull(s.g, 2)
 
 
 def theta_bracket_form(s: AntiHermitianStructure) -> Tensor:
     """Cyclic sum of <[J ., .], .> straight from the structure constants."""
-    return j_bracket_pairing(s, cyclic=True)
+    return _cyclic(j_bracket_pairing(s))
 
 
 def theta_connection_form(s: AntiHermitianStructure) -> Tensor:
@@ -46,7 +45,7 @@ def theta_connection_form(s: AntiHermitianStructure) -> Tensor:
     sum_m J_mi nabla_{e_m} e_j + J nabla_{e_i} e_j and lowered once.
     """
     gamma = levi_civita(s).tensor
-    return _cyclic_lowered(s, gamma.pull(s.J, 0) + gamma.push(s.J, 2))
+    return _cyclic((gamma.pull(s.J, 0) + gamma.push(s.J, 2)).pull(s.g, 2))
 
 
 def theta_is_skew(theta: Tensor) -> bool:

@@ -16,7 +16,7 @@ from antikahler.liealg import (
     is_abelian_j,
     is_anti_abelian_j,
     is_bi_invariant_j,
-    nijenhuis_is_zero,
+    nijenhuis,
 )
 from antikahler.scalars import signature
 
@@ -34,7 +34,7 @@ def recompute_flags(s) -> dict:
         "bi_invariant_j": is_bi_invariant_j(s.algebra, s.J),
         "anti_abelian_j": is_anti_abelian_j(s.algebra, s.J),
         "bi_invariant_metric": is_bi_invariant_metric(s),
-        "nijenhuis_zero": nijenhuis_is_zero(s.algebra, s.J),
+        "nijenhuis_zero": nijenhuis(s.algebra, s.J).is_zero(),
         "signature": signature(s.g),
         "derived_dim": s.algebra.derived_dim(),
     }

@@ -1,6 +1,6 @@
 """The cheap routes to curvature data against the full products.
 
-`curvature` builds R block by block, `_ricci` takes Ricci from Gamma when R
+`curvature` builds R block by block, `ricci` takes Ricci from Gamma when R
 is not memoized, `is_flat` and `curvature_is_pure` let Ricci decide False
 first, and `check` reads flatness and purity from the paper's theorems on
 anti-Kahler input.  Each route must give what the full product
@@ -21,13 +21,13 @@ from antikahler.classify4 import transform_structure
 from antikahler.cli import main as cli_main
 from antikahler.geometry import (
     AntiHermitianStructure,
-    _ricci,
     _second_derivatives,
     curvature,
     curvature_is_pure,
     is_anti_kahler,
     is_flat,
     levi_civita,
+    ricci,
 )
 from antikahler.liealg import LieAlgebra, _structure_tensor, is_abelian_j
 from antikahler.scalars import Matrix
@@ -87,11 +87,13 @@ def dense_sums():
             dense.algebra, random_complex_structure(rng, n, 2), rng, 2)
 
 
-def structures():
+def structures(samples=STREAM_SAMPLES):
+    """The catalog, `samples` seed-77 stream structures at each of dims 4 and 6
+    (odd indices after a random rational basis change), and dense_sums()."""
     out = [(name, catalog.get(name).structure) for name in catalog.list_names()]
     for dim in (4, 6):
         config = GeneratorConfig(master_seed=77, dim=dim)
-        for index in range(STREAM_SAMPLES):
+        for index in range(samples):
             s = random_structure(config, index)
             if index % 2:
                 p = random_invertible_matrix(random.Random(f"{dim}:{index}"), dim, 2)
@@ -127,12 +129,12 @@ class TestRoutes:
     def test_ricci_from_gamma_is_the_trace(self, s):
         trace = reference_curvature(s).trace(0, 3)
         t = fresh(s)
-        rc, ric = _ricci(t)
+        rc, ric = ricci(t)
         assert "curvature" not in t._cache
         assert rc == trace and ric == trace.push(s.g_inv, 0)
         traced = fresh(s)
         curvature(traced)
-        assert _ricci(traced) == (rc, ric)
+        assert ricci(traced) == (rc, ric)
 
     def test_predicates_decide_as_the_full_tensor(self, s):
         flat = reference_curvature(s).is_zero()

@@ -29,7 +29,7 @@ from antikahler.geometry import (
     is_ricci_flat,
     killing_anti_invariant,
     levi_civita,
-    nabla_j_operators,
+    nabla_j,
     preserves_complexified_form,
     preserves_metric_and_j,
     ricci,
@@ -39,13 +39,9 @@ from antikahler.geometry import (
     twin_metric,
 )
 from antikahler.liealg import LieAlgebra
-from antikahler.scalars import GaussianRational, Matrix, signature
+from antikahler.scalars import GaussianRational, Matrix, basis_vector, signature
 from antikahler.theta import anti_kahler_via_theta, theta_connection_form
 from antikahler.verifier import GeneratorConfig, random_structure
-
-
-def basis(dim, i):
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
 
 
 def sample_structures():
@@ -106,45 +102,45 @@ class TestLeviCivita:
             want = [Fraction(0)] * 6
             for k, c in terms.items():
                 want[k] = c
-            assert conn.nabla_basis(i).col(j) == tuple(want)
+            assert conn.tensor[i, j].fractions() == tuple(want)
 
     def test_abelian_zero_connection(self):
         s = catalog.get("abelian4").structure
         conn = levi_civita(s)
-        assert all(conn.nabla_basis(i).is_zero() for i in range(4))
+        assert conn.tensor.is_zero()
 
     def test_case2_printed_coefficients(self):
         # t = (1, 0, 0, 0): nabla_X X = -Y
         s = make_family_case2(1, 0, 0, 0)
         conn = levi_civita(s)
-        assert conn.nabla_basis(0).col(0) == (0, 0, -1, 0)
+        assert conn.tensor[0, 0].fractions() == (0, 0, -1, 0)
 
     def test_case1_printed_coefficients(self):
         # nabla_X X = -a JY, nabla_X Y = a JX, nabla_Y Y = -eps b JX
         for (a, b, eps) in ((1, 2, 1), (Fraction(1, 2), -1, -1)):
             s = make_family_case1(a, b, eps)
             conn = levi_civita(s)
-            assert conn.nabla_basis(0).col(0) == (0, 0, 0, Fraction(-a))
-            assert conn.nabla_basis(0).col(2) == (0, Fraction(a), 0, 0)
-            assert conn.nabla_basis(2).col(2) == (0, Fraction(-eps) * Fraction(b), 0, 0)
+            assert conn.tensor[0, 0].fractions() == (0, 0, 0, Fraction(-a))
+            assert conn.tensor[0, 2].fractions() == (0, Fraction(a), 0, 0)
+            assert conn.tensor[2, 2].fractions() == (0, Fraction(-eps) * Fraction(b), 0, 0)
 
     def test_koszul_laws(self):
         for s in sample_structures():
             conn = levi_civita(s)
             n = s.dim
             for i in range(n):
-                gm = s.g * conn.nabla_basis(i)
+                gm = s.g * Matrix.from_cols(conn.tensor[i].fractions())
                 assert gm.transpose() == -gm  # metric compatibility
             for i in range(n):
                 for j in range(i + 1, n):
-                    diff = tuple(
-                        conn.nabla_basis(i).col(j)[k] - conn.nabla_basis(j).col(i)[k]
-                        for k in range(n))
+                    diff = tuple(conn.tensor[i, j, k] - conn.tensor[j, i, k]
+                                 for k in range(n))
                     assert diff == s.algebra.bracket_basis(i, j)  # torsion-free
 
     def test_nabla_j_always_g_symmetric(self):
         for s in sample_structures():
-            for op in nabla_j_operators(s):
+            for cols in nabla_j(s).fractions():
+                op = Matrix.from_cols(cols)
                 assert op.transpose() * s.g == s.g * op
 
 
@@ -175,7 +171,7 @@ class TestAntiKahler:
 
     def test_abelian_connection_formula(self):
         n7 = catalog.get("n7_J-1").structure
-        assert levi_civita(n7) == abelian_j_connection(n7)
+        assert levi_civita(n7).tensor == abelian_j_connection(n7)
         assert second_derivatives_commute(n7)
 
 
@@ -190,25 +186,24 @@ class TestCurvature:
         # zeta = 1: R(X, Y) maps X -> Y, JX -> JY, Y -> -X, JY -> -JX
         s = make_family_case2(1, 0, 0, 0)
         r = curvature(s)
-        assert r.op(0, 2) == Matrix.from_cols(
+        assert Matrix.from_cols(r.tensor[0, 2].fractions()) == Matrix.from_cols(
             [(0, 0, 1, 0), (0, 0, 0, 1), (-1, 0, 0, 0), (0, -1, 0, 0)]).map(Fraction)
 
     def test_symmetries(self):
         for s in sample_structures():
-            r = curvature(s)
+            r = curvature(s).tensor
             n = s.dim
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert r.op(j, i) == -r.op(i, j)
+                    assert r[j, i] == -r[i, j]
             # pair symmetry and first Bianchi on a fixed sweep
             for i in range(n):
                 for j in range(i + 1, n):
                     for k in range(n):
                         for l in range(n):
-                            assert r.lowered(i, j, k, l) == r.lowered(k, l, i, j)
-                        bianchi = tuple(
-                            r.op(i, j).col(k)[m] + r.op(j, k).col(i)[m]
-                            + r.op(k, i).col(j)[m] for m in range(n))
+                            assert r[i, j, k].pull(s.g, 0)[l] == r[k, l, i].pull(s.g, 0)[j]
+                        bianchi = tuple(r[i, j, k, m] + r[j, k, i, m] + r[k, i, j, m]
+                                        for m in range(n))
                         assert bianchi == tuple([Fraction(0)] * n)
 
     def test_sl2c_quarter_bracket(self):
@@ -220,24 +215,23 @@ class TestCurvature:
                 w = alg.bracket_basis(i, j)
                 for k in range(6):
                     expected = tuple(Fraction(-1, 4) * x
-                                     for x in alg.bracket(w, basis(6, k)))
-                    assert r.op(i, j).col(k) == expected
+                                     for x in alg.bracket(w, basis_vector(6, k)))
+                    assert r.tensor[i, j, k].fractions() == expected
 
     def test_reads_below_the_diagonal(self):
         for s in sample_structures():
-            r = curvature(s)
+            r = curvature(s).tensor
             n = s.dim
             for i in range(n):
                 for j in range(i):
-                    op = r.op(i, j)
                     for k in range(n):
-                        col = op.col(k)
+                        col = r[i, j, k].fractions()
+                        lowered, mirror = r[i, j, k].pull(s.g, 0), r[j, i, k].pull(s.g, 0)
                         for l in range(n):
-                            assert r.component(i, j, k, l) == -r.component(j, i, k, l)
-                            assert r.component(i, j, k, l) == op[l][k]
-                            assert r.lowered(i, j, k, l) == s.metric(col, basis(n, l))
-                            assert r.lowered(i, j, k, l) == -r.lowered(j, i, k, l)
-            assert r.component(1, 1, 0, 0) == 0 and r.lowered(1, 1, 0, 0) == 0
+                            assert r[i, j, k, l] == -r[j, i, k, l]
+                            assert lowered[l] == s.metric(col, basis_vector(n, l))
+                            assert lowered[l] == -mirror[l]
+            assert r[1, 1, 0, 0] == 0 and r[1, 1, 0].pull(s.g, 0)[0] == 0
 
     def test_purity_for_anti_kahler(self):
         for s in sample_structures():
@@ -256,13 +250,13 @@ class TestMemo:
     def test_own_connection_uses_memo(self, monkeypatch):
         """Every derived object reads the one memoized Levi-Civita connection."""
         built = []
-        of = Connection._of
-        monkeypatch.setattr(Connection, "_of",
-                            classmethod(lambda cls, gamma: built.append(gamma) or of(gamma)))
+        init = Connection.__init__
+        monkeypatch.setattr(Connection, "__init__",
+                            lambda self, gamma: built.append(gamma) or init(self, gamma))
         s = fresh("sl2c_killing")
         assert curvature(s) is curvature(s)
         assert ricci(s) is ricci(s)
-        nabla_j_operators(s)
+        nabla_j(s)
         theta_connection_form(s)
         satisfies_abelian_connection_rule(s)
         satisfies_bi_invariant_connection_rule(s)
@@ -282,12 +276,12 @@ class TestLazyFractionViews:
             n, conn, r = s.dim, levi_civita(s), curvature(s)
             ops = conn.operators
             assert len(ops) == n and all(isinstance(m, Matrix) for m in ops)
-            assert all(ops[i][k][j] == conn.gamma(i, j, k)
+            assert all(ops[i][k][j] == conn.tensor[i, j, k]
                        for i in range(n) for j in range(n) for k in range(n))
             assert sorted(r._ops) == [(i, j) for i in range(n) for j in range(i + 1, n)]
             for (i, j), m in r._ops.items():
                 assert isinstance(m, Matrix)
-                assert all(type(m[l][k]) is Fraction and m[l][k] == r.component(i, j, k, l)
+                assert all(type(m[l][k]) is Fraction and m[l][k] == r.tensor[i, j, k, l]
                            for k in range(n) for l in range(n))
             assert conn.operators is ops and r._ops is r._fraction_ops
 
@@ -296,19 +290,18 @@ class TestRicci:
     def test_trace_of_components(self):
         for s in sample_structures():
             n = s.dim
-            r = curvature(s)
+            r = curvature(s).tensor
             rc, ric = ricci(s)
-            want = Matrix([[sum((r.component(i, j, k, i) for i in range(n)),
+            want = Matrix([[sum((r[i, j, k, i] for i in range(n)),
                                 Fraction(0)) for k in range(n)] for j in range(n)])
-            assert rc == want
-            assert ric == s.g_inv * want
-            assert all(type(x) is Fraction for row in rc.rows for x in row)
+            assert Matrix(rc.fractions()) == want
+            assert Matrix(ric.fractions()) == s.g_inv * want
 
     def test_case2_unit(self):
         s = make_family_case2(1, 0, 0, 0)
         rc, ric = ricci(s)
-        assert ric == -2 * Matrix.identity(4)
-        assert rc == -2 * s.g
+        assert Matrix(ric.fractions()) == -2 * Matrix.identity(4)
+        assert Matrix(rc.fractions()) == -2 * s.g
 
     def test_abelian_zero(self):
         rc, _ = ricci(catalog.get("abelian4").structure)
@@ -319,7 +312,7 @@ class TestRicci:
         einstein, lam = is_einstein(s)
         assert einstein and lam == Fraction(1, 4)
         rc, _ = ricci(s)
-        assert rc == Fraction(1, 4) * s.g
+        assert Matrix(rc.fractions()) == Fraction(1, 4) * s.g
         # with the Killing form itself the constant flips sign
         flipped = AntiHermitianStructure(s.algebra, -s.g, s.J)
         einstein2, lam2 = is_einstein(flipped)
@@ -362,7 +355,7 @@ class TestTwin:
 
     def test_n7_twin_shares_connection(self):
         s = catalog.get("n7_J-1").structure
-        assert levi_civita(twin_metric(s)) == levi_civita(s)
+        assert levi_civita(twin_metric(s)).tensor == levi_civita(s).tensor
 
 
 class TestComplexified:
@@ -375,7 +368,7 @@ class TestComplexified:
 
     def test_n7_pairing(self):
         s = catalog.get("n7_J-1").structure
-        assert complex_form(s, basis(6, 0), basis(6, 4)).re == Fraction(1, 2)
+        assert complex_form(s, basis_vector(6, 0), basis_vector(6, 4)).re == Fraction(1, 2)
 
     def test_i_linearity(self):
         s = catalog.get("r-1-1_std").structure

@@ -37,12 +37,13 @@ from antikahler.geometry import (
     ricci,
     second_derivatives_commute,
 )
-from antikahler.liealg import LieAlgebra, nijenhuis, nijenhuis_is_zero
+from antikahler.liealg import LieAlgebra, nijenhuis
 from antikahler.scalars import (
     DimensionMismatchError,
     GaussianRational,
     Matrix,
     SingularMatrixError,
+    Tensor,
     basis_vector,
     clear_denominators,
     format_rational,
@@ -108,6 +109,13 @@ def ref_operators(s):
     return ops
 
 
+def gamma_of(ops):
+    """Operators M_i as the tensor Gamma[i][j][k] = M_i[k][j], over the lcm of
+    their denominators."""
+    n = len(ops)
+    return Tensor.of(n, 3, (ops[i][k][j] for i in range(n) for j in range(n) for k in range(n)))
+
+
 def ref_abelian_operators(s):
     """nabla_{e_i} e_c = 1/2 ([e_i, e_c] - J [e_i, J e_c])."""
     n, alg, j = s.dim, s.algebra, s.J
@@ -122,14 +130,14 @@ def ref_abelian_operators(s):
     return ops
 
 
-def ref_second_derivatives_commute(conn):
-    ops = conn.operators
+def ref_second_derivatives_commute(ops):
+    n = len(ops)
     return all(ref_mul(ops[i], ops[j]) == ref_mul(ops[j], ops[i])
-               for i in range(conn.dim) for j in range(i + 1, conn.dim))
+               for i in range(n) for j in range(i + 1, n))
 
 
 def ref_is_einstein(s):
-    rc, _ = ricci(s)
+    rc = Matrix(ricci(s)[0].fractions())
     n = s.dim
     lam = next(rc[i][j] / s.g[i][j] for i in range(n) for j in range(n) if s.g[i][j])
     return (True, lam) if rc == lam * s.g else (False, None)
@@ -270,23 +278,23 @@ class TestConnection:
         s = AntiHermitianStructure(s.algebra, s.g, s.J)  # no memo shared with other tests
         n = s.dim
         ops = ref_operators(s)
-        conn, reference = levi_civita(s), Connection(ops)
-        assert conn == reference and reference == conn
+        conn, reference = levi_civita(s), gamma_of(ops)
         # the reduced denominator is the lcm of the reduced Fraction denominators
         assert conn.tensor.den == math.lcm(*(x.denominator for m in ops for row in m.rows
                                              for x in row))
-        assert (conn.tensor.nums, conn.tensor.den) == (reference.tensor.nums,
-                                                       reference.tensor.den)
+        assert (conn.tensor.nums, conn.tensor.den) == (reference.nums, reference.den)
+        # a Connection keeps the Christoffel tensor it is given, reduced
+        unreduced = Connection(reference * 3 / 3).tensor
+        assert (unreduced.nums, unreduced.den) == (reference.nums, reference.den)
         assert conn._operators is None
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    got = conn.gamma(i, j, k)
+                    got = conn.tensor[i, j, k]
                     assert type(got) is Fraction and got == ops[i][k][j]
-        assert conn.component_texts() == [
+        assert conn.tensor.texts() == [
             [[format_rational(ops[i][k][j]) for k in range(n)] for j in range(n)]
             for i in range(n)]
-        assert all(conn.nabla_basis(i) == ops[i] for i in range(n))
         assert conn.operators == tuple(ops)
         assert all(type(x) is Fraction for m in conn.operators for row in m.rows for x in row)
 
@@ -295,19 +303,19 @@ class TestConnection:
     def test_abelian_formula_and_commuting_derivatives(self, s):
         ops = ref_abelian_operators(s)
         got = abelian_j_connection(s)
-        assert got == Connection(ops)
-        assert got.operators == tuple(ops)
-        assert second_derivatives_commute(s) == ref_second_derivatives_commute(levi_civita(s))
+        assert got == gamma_of(ops)
+        assert second_derivatives_commute(s) == ref_second_derivatives_commute(
+            levi_civita(s).operators)
 
     def test_equality_across_entry_types(self):
         s = catalog.get("sl2c_killing").structure
         ops = levi_civita(s).operators
         scaled = [m.map(lambda x: x * 6) for m in ops]
         assert all(x.denominator == 1 for m in scaled for row in m.rows for x in row)
-        ints = Connection([m.map(int) for m in scaled])
-        assert ints == Connection(scaled)
-        assert ints != levi_civita(s)
-        assert Connection(ops) == levi_civita(s)
+        ints = Connection(gamma_of([m.map(int) for m in scaled])).tensor
+        assert ints == gamma_of(scaled)
+        assert ints != levi_civita(s).tensor
+        assert Connection(ints / 6).tensor == gamma_of(ops) == levi_civita(s).tensor
 
 
 class TestPredicates:
@@ -330,8 +338,7 @@ class TestPredicates:
         assert is_ricci_flat(s) == ricci(s)[0].is_zero()
         assert killing_anti_invariant(s) == ref_killing_anti_invariant(s)
         table = nijenhuis(s.algebra, s.J)
-        assert nijenhuis_is_zero(s.algebra, s.J) == all(not any(v) for row in table
-                                                         for v in row)
+        assert table.is_zero() == all(not any(v) for row in table.fractions() for v in row)
         theta = theta_connection_form(s)
         assert anti_kahler_via_theta(s) == (ref_theta_is_skew(theta)
                                             and ref_theta_is_pure(theta, s.J))
@@ -403,8 +410,8 @@ class TestNoFractionOperators:
         connections = []
 
         class RecordingConnection(geometry.Connection):
-            def _store(self, *args):
-                super()._store(*args)
+            def __init__(self, *args):
+                super().__init__(*args)
                 connections.append(self)
 
         monkeypatch.setattr(geometry, "Connection", RecordingConnection)

@@ -24,7 +24,7 @@ from antikahler.geometry import (
     epsilon_parallel_holds,
     is_anti_kahler,
     levi_civita,
-    nabla_j_operators,
+    nabla_j,
     satisfies_abelian_connection_rule,
     satisfies_bi_invariant_connection_rule,
 )
@@ -36,7 +36,6 @@ from antikahler.liealg import (
     is_anti_abelian_j,
     is_bi_invariant_j,
     nijenhuis,
-    nijenhuis_is_zero,
 )
 from antikahler.scalars import (
     DimensionMismatchError,
@@ -74,18 +73,23 @@ def tensor3(entries):
     return Tensor.of(len(entries), 3, (x for plane in entries for row in plane for x in row))
 
 
-def nabla_direction(conn, x):
-    """Operator nabla_x = sum_i x_i nabla_{e_i}."""
-    n = conn.dim
+def operators(t):
+    """The order-3 tensor t as the operators M_i with column j = t[i, j]."""
+    return [Matrix.from_cols(plane) for plane in t.fractions()]
+
+
+def nabla_direction(ops, x):
+    """Operator nabla_x = sum_i x_i nabla_{e_i} for ops[i] = nabla_{e_i}."""
+    n = len(ops)
     out = Matrix.zeros(n, n)
     for i, xi in enumerate(x):
         if xi:
-            out = out + xi * conn.operators[i]
+            out = out + xi * ops[i]
     return out
 
 
 def ref_curvature_is_pure(s):
-    r = curvature(s)
+    lowered = curvature(s).tensor.pull(s.g, 3).fractions()
     n = s.dim
     J = s.J
 
@@ -96,7 +100,8 @@ def ref_curvature_is_pure(s):
             coeff = J[m][idx[which]]
             if coeff:
                 idx[which] = m
-                total += coeff * r.lowered(*idx)
+                a, b, c, d = idx
+                total += coeff * lowered[a][b][c][d]
         return total
 
     for i in range(n):
@@ -111,8 +116,8 @@ def ref_curvature_is_pure(s):
 
 
 def ref_curvature_j_anticommutes(s):
-    r = curvature(s)
     n = s.dim
+    r = [operators(curvature(s).tensor[i]) for i in range(n)]
     J = s.J
     for i in range(n):
         for j in range(i + 1, n):
@@ -123,8 +128,8 @@ def ref_curvature_j_anticommutes(s):
                 for p in range(n):
                     coeff = J[m][i] * J[p][j]
                     if coeff:
-                        acc = acc + coeff * r.op(m, p)
-            if acc != -r.op(i, j):
+                        acc = acc + coeff * r[m][p]
+            if acc != -r[i][j]:
                 return False
     return True
 
@@ -142,10 +147,10 @@ def ref_theta_bracket_form(s):
 
 
 def ref_theta_connection_form(s):
-    conn = levi_civita(s)
+    ops = operators(levi_civita(s).tensor)
     n = s.dim
     J, g = s.J, s.g
-    d_ops = [nabla_direction(conn, J.col(i)) + J * conn.nabla_basis(i) for i in range(n)]
+    d_ops = [nabla_direction(ops, J.col(i)) + J * ops[i] for i in range(n)]
 
     def delta(i, j, k):
         vec = d_ops[i].col(j)
@@ -245,9 +250,8 @@ def fraction_views():
 
 
 def ref_component_texts(r):
-    n = r.dim
-    return [[[[format_rational(x) for x in col] for col in zip(*r.op(i, j).rows)]
-              for j in range(n)] for i in range(n)]
+    return [[[[format_rational(x) for x in row] for row in block] for block in plane]
+            for plane in r.fractions()]
 
 
 def ref_killing_form(algebra):
@@ -258,13 +262,13 @@ def ref_killing_form(algebra):
 
 
 def ref_j_direction_rule(s, sign):
-    conn = levi_civita(s)
-    return all(nabla_direction(conn, s.J.col(i)) == Fraction(sign) * (s.J * conn.nabla_basis(i))
+    ops = operators(levi_civita(s).tensor)
+    return all(nabla_direction(ops, s.J.col(i)) == Fraction(sign) * (s.J * ops[i])
                for i in range(s.dim))
 
 
 def ref_epsilon_parallel_holds(s, eps):
-    ops = nabla_j_operators(s)
+    ops = operators(nabla_j(s))
     n = s.dim
     for i in range(n):
         ji = s.J.col(i)
@@ -439,9 +443,9 @@ class TestCurvatureContractions:
     def test_component_texts(self, s):
         r = curvature(s)
         with fraction_views() as views:
-            texts = r.component_texts()
+            texts = r.tensor.texts()
         assert views == [] and r._fraction_ops is None
-        assert texts == ref_component_texts(r)
+        assert texts == ref_component_texts(r.tensor)
 
     def test_check_builds_no_fraction_operators(self):
         s = random_structure(GeneratorConfig(dim=6), 3)
@@ -449,7 +453,7 @@ class TestCurvatureContractions:
             curvature_is_pure(s)
             curvature_j_anticommutes(s)
         assert views == [] and curvature(s)._fraction_ops is None
-        assert curvature(s).op(0, 1) == curvature(s)._ops[(0, 1)]
+        assert operators(curvature(s).tensor[0])[1] == curvature(s)._ops[(0, 1)]
 
 
 class TestThetaContractions:
@@ -496,9 +500,8 @@ class TestLieContractions:
     def assert_matches(algebra, j):
         table = nijenhuis(algebra, j)
         want = ref_nijenhuis(algebra, j)
-        assert table == want
-        assert all(type(x) is Fraction for row in table for vec in row for x in vec)
-        assert nijenhuis_is_zero(algebra, j) == all(not any(v) for row in want for v in row)
+        assert table.fractions() == want
+        assert table.is_zero() == all(not any(v) for row in want for v in row)
         assert is_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j)
         assert is_anti_abelian_j(algebra, j) == ref_is_abelian_j(algebra, j, sign=-1)
         assert is_bi_invariant_j(algebra, j) == ref_is_bi_invariant_j(algebra, j)
@@ -537,7 +540,10 @@ class TestConnectionContractions:
     @given(structures())
     @settings(max_examples=40, deadline=None)
     def test_direction_rules_and_epsilon(self, s):
-        assert is_anti_kahler(s) == all(op.is_zero() for op in nabla_j_operators(s))
+        ops = operators(levi_civita(s).tensor)
+        # (nabla_{e_i} J) = [nabla_{e_i}, J]
+        assert operators(nabla_j(s)) == [op * s.J - s.J * op for op in ops]
+        assert is_anti_kahler(s) == all(op * s.J == s.J * op for op in ops)
         assert satisfies_abelian_connection_rule(s) == ref_j_direction_rule(s, -1)
         assert satisfies_bi_invariant_connection_rule(s) == ref_j_direction_rule(s, 1)
         for eps in (1, -1):

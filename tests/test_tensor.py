@@ -212,7 +212,7 @@ def structures():
 
 def test_cli_ricci_rows_match_fraction_ricci(tmp_path):
     """Machine curvature prints Ricci from integer numerators; the strings are
-    str() of the entries of the Fraction matrices that ricci() returns."""
+    str() of the Fraction entries of the tensors that ricci() returns."""
     path = tmp_path / "s.txt"
     for s in structures():
         path.write_text(format_structure(s))
@@ -221,5 +221,5 @@ def test_cli_ricci_rows_match_fraction_ricci(tmp_path):
             assert main(["curvature", str(path), "--output", "machine"]) == 0
         doc = json.loads(out.getvalue())
         rc, ric = ricci(s)
-        assert doc["ricci"] == [[str(x) for x in row] for row in rc.rows]
-        assert doc["ricci_operator"] == [[str(x) for x in row] for row in ric.rows]
+        assert doc["ricci"] == [[str(x) for x in row] for row in rc.fractions()]
+        assert doc["ricci_operator"] == [[str(x) for x in row] for row in ric.fractions()]

@@ -4,6 +4,7 @@ from antikahler import catalog
 from antikahler.classify4 import make_family_case1, make_family_case2, standard_j, standard_metric
 from antikahler.geometry import AntiHermitianStructure, is_anti_kahler
 from antikahler.liealg import LieAlgebra
+from antikahler.scalars import basis_vector
 from antikahler.theta import (
     anti_kahler_via_theta,
     theta_bracket_form,
@@ -13,10 +14,6 @@ from antikahler.theta import (
     theta_is_skew,
 )
 from antikahler.verifier import GeneratorConfig, random_structure
-
-
-def basis(dim, i):
-    return tuple(Fraction(1) if k == i else Fraction(0) for k in range(dim))
 
 
 class TestThetaForms:
@@ -49,7 +46,7 @@ class TestThetaForms:
         alg, g, j = s.algebra, s.g, s.J
         for i in range(6):
             for jdx in range(6):
-                vec = alg.bracket(j.col(i), basis(6, jdx))
+                vec = alg.bracket(j.col(i), basis_vector(6, jdx))
                 for k in range(6):
                     base = sum((vec[m] * g[m][k] for m in range(6)), Fraction(0))
                     assert theta[i, jdx, k] == 3 * base
