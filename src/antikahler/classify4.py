@@ -30,7 +30,7 @@ from .geometry import (
     is_flat,
     is_ricci_flat,
 )
-from .liealg import LieAlgebra, _structure_tensor
+from .liealg import LieAlgebra
 from .scalars import (
     DimensionMismatchError,
     GaussianRational,
@@ -204,7 +204,7 @@ def transform_algebra(alg: LieAlgebra, p: Matrix) -> LieAlgebra:
     """Structure constants in the basis given by the columns of p:
     p^-1 [p e_i, p e_j], read off the structure tensor."""
     p_inv = p.inverse()
-    c = _structure_tensor(alg).pull(p, 0).pull(p, 1).push(p_inv, 2)
+    c = alg.structure.pull(p, 0).pull(p, 1).push(p_inv, 2)
     n = alg.dim
     return LieAlgebra.from_brackets(n, {(i, j): c[i, j].fractions()
                                         for i in range(n) for j in range(i + 1, n)})
@@ -285,8 +285,8 @@ def verify_isomorphism(phi: Matrix, src: LieAlgebra, dst: LieAlgebra, *,
         raise DimensionMismatchError("witness matrix has wrong shape")
     if phi.det() == 0:
         return False
-    if _structure_tensor(src).push(phi, 2) != \
-            _structure_tensor(dst).pull(phi, 0).pull(phi, 1):
+    if src.structure.push(phi, 2) != \
+            dst.structure.pull(phi, 0).pull(phi, 1):
         return False
     if g_src is not None and phi.transpose() * g_dst * phi != g_src:
         return False

@@ -217,8 +217,7 @@ def format_structure(obj: Union[LieAlgebra, AntiHermitianStructure]) -> str:
     else:
         algebra, g, j = obj, None, None
     lines = ["[algebra]", f"dim = {algebra.dim}"]
-    for (i, jdx) in sorted(algebra.nonzero_brackets()):
-        vec = algebra.bracket_basis(i, jdx)
+    for (i, jdx), vec in algebra.nonzero_brackets().items():
         terms = [f"{format_rational(vec[k])} e{k + 1}"
                  for k in range(algebra.dim) if vec[k]]
         lines.append(f"bracket e{i + 1} e{jdx + 1} = " + " + ".join(terms))

@@ -20,7 +20,6 @@ from .liealg import (
     LieAlgebra,
     NotComplexStructureError,
     _killing_tensor,
-    _structure_tensor,
     check_complex_structure,
 )
 from .scalars import (
@@ -132,7 +131,7 @@ class Connection:
 
 def _lowered_structure(s: AntiHermitianStructure) -> Tensor:
     """g([e_i, e_j], e_k) at (i, j, k), built once per structure."""
-    return s._memo("lowered_structure", lambda: _structure_tensor(s.algebra).pull(s.g, 2))
+    return s._memo("lowered_structure", lambda: s.algebra.structure.pull(s.g, 2))
 
 
 def levi_civita(s: AntiHermitianStructure) -> Connection:
@@ -207,7 +206,7 @@ def curvature(s: AntiHermitianStructure) -> CurvatureTensor:
     """
     def build():
         gamma = levi_civita(s).tensor
-        c = _structure_tensor(s.algebra)
+        c = s.algebra.structure
         n, dg, nn = gamma.n, gamma.den, gamma.n ** 2
         den = math.lcm(dg * dg, c.den * dg)
         f, fc = den // (dg * dg), den // (c.den * dg)
@@ -247,7 +246,7 @@ def ricci(s: AntiHermitianStructure) -> tuple[Tensor, Tensor]:
         else:
             gamma = levi_civita(s).tensor
             rc = (gamma.dot(gamma.trace(0, 2))
-                  - (gamma - _structure_tensor(s.algebra)).dot(gamma.permute((2, 0, 1)), 2))
+                  - (gamma - s.algebra.structure).dot(gamma.permute((2, 0, 1)), 2))
         return rc, rc.push(s.g_inv, 0)
 
     return s._memo("ricci", build)
@@ -391,7 +390,7 @@ def abelian_j_connection(s: AntiHermitianStructure) -> Tensor:
     an abelian J; exposed independently so the Koszul path can be checked
     against it.
     """
-    c = _structure_tensor(s.algebra)
+    c = s.algebra.structure
     return (c - c.pull(s.J, 1).push(s.J, 2)) / 2
 
 

@@ -1,8 +1,9 @@
 """Lie algebras from structure-constant tables.
 
-A :class:`LieAlgebra` stores the brackets of basis pairs (i, j) with i < j
-and synthesizes antisymmetry.  Construction validates the Jacobi identity;
-unvalidated tables only exist as the raw mapping passed to
+A :class:`LieAlgebra` is its structure tensor: the brackets of basis pairs
+(i, j) with i < j are read in, validated against the Jacobi identity and
+antisymmetrized into one integer ``Tensor``, from which every Fraction view
+is read off.  Unvalidated tables only exist as the raw mapping passed to
 :func:`jacobi_residual` or :meth:`LieAlgebra.from_brackets`.
 
 Linear maps on the algebra (complex structures, adjoint maps, isomorphism
@@ -21,6 +22,7 @@ from .scalars import (
     Matrix,
     Tensor,
     clear_denominators,
+    fractions_over,
     int_matmul,
 )
 
@@ -37,10 +39,6 @@ class JacobiViolation(ValueError):
 
 class NotComplexStructureError(ValueError):
     """Linear map J does not satisfy J^2 = -I."""
-
-
-def _zero(dim: int) -> tuple:
-    return (Fraction(0),) * dim
 
 
 def _as_vector(dim: int, value) -> tuple:
@@ -98,20 +96,22 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
 
 
 class LieAlgebra:
-    """Validated Lie algebra over Q given by its structure constants."""
+    """Validated Lie algebra over Q, held as its structure tensor `structure`:
+    C[a][b][k] is the coefficient of e_k in [e_a, e_b], one integer Tensor."""
 
-    __slots__ = ("dim", "_table", "_killing", "_structure")
+    __slots__ = ("structure",)
 
-    def __init__(self, dim: int, table: dict, _validated: bool = False):
+    def __init__(self, structure: Tensor, _validated: bool = False):
         if not _validated:
             raise TypeError("use LieAlgebra.from_brackets")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_killing", None)
-        object.__setattr__(self, "_structure", None)
+        object.__setattr__(self, "structure", structure)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
+
+    @property
+    def dim(self) -> int:
+        return self.structure.n
 
     @classmethod
     def from_brackets(cls, dim: int, brackets: BracketTable) -> "LieAlgebra":
@@ -125,41 +125,46 @@ class LieAlgebra:
             if i >= j:
                 raise AntisymmetryViolation(
                     f"bracket ({i}, {j}) must be listed with i < j")
-            vec = _as_vector(dim, value)
-            if any(vec):
-                table[(i, j)] = vec
+            table[(i, j)] = _as_vector(dim, value)
         residual = jacobi_residual(dim, table)
         if residual != 0:
             raise JacobiViolation(f"Jacobi identity fails, residual {residual}")
-        return cls(dim, table, _validated=True)
+        rows, den = clear_denominators(table.values())
+        listed, zero = dict(zip(table, rows)), [0] * dim
+        upper = Tensor(dim, 3, [x for a in range(dim) for b in range(dim)
+                                for x in listed.get((a, b), zero)], den)
+        return cls(upper - upper.permute((1, 0, 2)), _validated=True)
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
-        return cls(dim, {}, _validated=True)
+        return cls(Tensor(dim, 3, [0] * dim ** 3, 1), _validated=True)
 
     def __eq__(self, other):
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return self.dim == other.dim and self._table == other._table
+        return self.structure == other.structure
 
     def __hash__(self):
-        return hash((self.dim, tuple(sorted(self._table.items()))))
+        c = self.structure.reduced()
+        return hash((c.n, tuple(c.nums), c.den))
 
     def __repr__(self):
-        return f"LieAlgebra(dim={self.dim}, brackets={len(self._table)})"
+        return f"LieAlgebra(dim={self.dim}, brackets={len(self.nonzero_brackets())})"
 
     def nonzero_brackets(self) -> dict:
-        """Copy of the stored i<j table (only nonzero brackets)."""
-        return dict(self._table)
+        """{(i, j): [e_i, e_j]} as Fraction tuples, for each nonzero bracket
+        with i < j, in that order."""
+        c = self.structure
+        out = {}
+        for i in range(c.n):
+            for j, row in enumerate(c[i].rows()[i + 1:], i + 1):
+                if any(row):
+                    out[(i, j)] = tuple(fractions_over([row], c.den)[0])
+        return out
 
     def bracket_basis(self, i: int, j: int) -> tuple:
-        if i == j:
-            return _zero(self.dim)
-        if (i, j) in self._table:
-            return self._table[(i, j)]
-        if (j, i) in self._table:
-            return tuple(-x for x in self._table[(j, i)])
-        return _zero(self.dim)
+        """[e_i, e_j] as a Fraction tuple; IndexError outside range(dim)."""
+        return self.structure[i, j].fractions()
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """Bilinear expansion of [x, y] through the structure constants."""
@@ -167,38 +172,32 @@ class LieAlgebra:
             raise DimensionMismatchError("vector length mismatch")
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):
-            if not xi:
-                continue
             for j, yj in enumerate(y):
-                if not yj or i == j:
-                    continue
-                w = self.bracket_basis(i, j)
-                coeff = xi * yj
-                for k in range(self.dim):
-                    if w[k]:
-                        out[k] += coeff * w[k]
+                if xi and yj:
+                    for k, w in enumerate(self.bracket_basis(i, j)):
+                        if w:
+                            out[k] += xi * yj * w
         return tuple(out)
 
     def killing_form(self) -> Matrix:
-        """The Killing form as a Matrix of Fractions, from _killing_tensor; cached."""
-        if self._killing is None:
-            object.__setattr__(self, "_killing", Matrix(_killing_tensor(self).fractions()))
-        return self._killing
+        """The Killing form as a Matrix of Fractions, from _killing_tensor;
+        built on each call."""
+        return Matrix(_killing_tensor(self).fractions())
 
     def is_unimodular(self) -> bool:
         """trace(ad_{e_i}) = sum_k C_ik^k = 0 for every i."""
-        return _structure_tensor(self).trace(1, 2).is_zero()
+        return self.structure.trace(1, 2).is_zero()
 
     def is_abelian(self) -> bool:
-        return not self._table
+        return self.structure.is_zero()
 
     def derived_dim(self) -> int:
         """Dimension of span{[e_i, e_j]}, by exact rank."""
-        return Matrix(list(self._table.values())).rank() if self._table else 0
+        return Matrix(self.structure.rows(2)).rank()
 
     def center_dim(self) -> int:
         """dim ker(x -> ad_x): the rank of x -> ad_x is that of the rows C_i."""
-        return self.dim - Matrix(_structure_tensor(self).rows()).rank()
+        return self.dim - Matrix(self.structure.rows()).rank()
 
 
 def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
@@ -213,23 +212,10 @@ def check_complex_structure(j_map: Matrix) -> tuple[list, list, int]:
     return j, jt, dj
 
 
-def _structure_tensor(algebra: LieAlgebra) -> Tensor:
-    """C[a][b][k], the coefficient of e_k in [e_a, e_b], as one integer tensor.
-    Computed once per algebra and shared."""
-    if algebra._structure is None:
-        n, table = algebra.dim, algebra._table
-        rows, den = clear_denominators(table.values())
-        listed, zero = dict(zip(table, rows)), [0] * n
-        upper = Tensor(n, 3, [x for a in range(n) for b in range(n)
-                              for x in listed.get((a, b), zero)], den)
-        object.__setattr__(algebra, "_structure", upper - upper.permute((1, 0, 2)))
-    return algebra._structure
-
-
 def _killing_tensor(algebra: LieAlgebra) -> Tensor:
     """B_ij = trace(ad_{e_i} ad_{e_j}) = sum_kl C_ik^l C_jl^k as an integer
     tensor; symmetric."""
-    c = _structure_tensor(algebra)
+    c = algebra.structure
     return c.dot(c.permute((2, 1, 0)), 2)
 
 
@@ -239,7 +225,7 @@ def _checked_structure(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
     check_complex_structure(j_map)
     if j_map.nrows != algebra.dim:
         raise DimensionMismatchError("J must be dim x dim")
-    return _structure_tensor(algebra)
+    return algebra.structure
 
 
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> Tensor:

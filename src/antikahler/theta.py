@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import AntiHermitianStructure, levi_civita
-from .liealg import _structure_tensor
 from .scalars import Matrix, Tensor
 
 
@@ -30,7 +29,7 @@ def _cyclic(p: Tensor) -> Tensor:
 
 def j_bracket_pairing(s: AntiHermitianStructure) -> Tensor:
     """<[Jx, y], z> on basis triples."""
-    return _structure_tensor(s.algebra).pull(s.J, 0).pull(s.g, 2)
+    return s.algebra.structure.pull(s.J, 0).pull(s.g, 2)
 
 
 def theta_bracket_form(s: AntiHermitianStructure) -> Tensor:

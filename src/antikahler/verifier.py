@@ -61,7 +61,6 @@ from .geometry import (
 )
 from .liealg import (
     LieAlgebra,
-    _structure_tensor,
     is_abelian_j,
     is_bi_invariant_j,
     nijenhuis,
@@ -489,7 +488,7 @@ def _suite_killing_einstein(config: GeneratorConfig, report: SuiteReport):
 
 def _bi_invariant_curvature_identity(s: AntiHermitianStructure) -> bool:
     """R(x, y)z = -1/4 [[x, y], z] on all basis triples."""
-    c = _structure_tensor(s.algebra)
+    c = s.algebra.structure
     return curvature(s).tensor * 4 == -c.dot(c)
 
 
@@ -505,7 +504,7 @@ def _suite_abelian_obstructions(config: GeneratorConfig, report: SuiteReport):
 
 def _bracket_identity_holds(s: AntiHermitianStructure) -> bool:
     """[J[x, y], z] = J[[x, y], z] on all basis triples."""
-    c = _structure_tensor(s.algebra)
+    c = s.algebra.structure
     return c.push(s.J, 2).dot(c) == c.dot(c).push(s.J, 3)
 
 
@@ -694,7 +693,7 @@ def _suite_koszul(config: GeneratorConfig, report: SuiteReport):
         report.check(low.permute((0, 2, 1)) == -low, "koszul_metric_compatibility",
                      index, s)
         # nabla_{e_i} e_j - nabla_{e_j} e_i = [e_i, e_j]
-        torsion_free = gamma - gamma.permute((1, 0, 2)) == _structure_tensor(s.algebra)
+        torsion_free = gamma - gamma.permute((1, 0, 2)) == s.algebra.structure
         report.check(torsion_free, "koszul_torsion_free", index, s)
 
 

@@ -29,7 +29,7 @@ from antikahler.geometry import (
     levi_civita,
     ricci,
 )
-from antikahler.liealg import LieAlgebra, _structure_tensor, is_abelian_j
+from antikahler.liealg import LieAlgebra, is_abelian_j
 from antikahler.scalars import Matrix
 from antikahler.verifier import (
     GeneratorConfig,
@@ -46,7 +46,7 @@ def reference_curvature(s):
     """R = twice - twice.permute - C Gamma, the whole n^5 product at once."""
     gamma = levi_civita(s).tensor
     twice = _second_derivatives(gamma)
-    return twice - twice.permute((1, 0, 2, 3)) - _structure_tensor(s.algebra).dot(gamma)
+    return twice - twice.permute((1, 0, 2, 3)) - s.algebra.structure.dot(gamma)
 
 
 def fresh(s):

@@ -57,6 +57,19 @@ class TestConstruction:
         with pytest.raises(TypeError):
             LieAlgebra.from_brackets(3, {(0, 1): {1.0: 1}})
 
+    def test_one_structure_tensor(self):
+        alg = LieAlgebra.from_brackets(3, {(0, 1): {2: Fraction(1, 2)}, (0, 2): (0, 0, 0)})
+        assert LieAlgebra.__slots__ == ("structure",)
+        c = alg.structure
+        assert (c[0, 1, 2], c[1, 0, 2], c[0, 0, 2]) == (Fraction(1, 2), Fraction(-1, 2), 0)
+        assert alg.nonzero_brackets() == {(0, 1): (0, 0, Fraction(1, 2))}
+        assert repr(alg) == "LieAlgebra(dim=3, brackets=1)"
+        # equal and equally hashed over any denominator of the same tensor
+        same = LieAlgebra(c * 2 / 2, _validated=True)
+        assert same.structure.den != c.den
+        assert same == alg and hash(same) == hash(alg)
+        assert alg != LieAlgebra.abelian(3) and LieAlgebra.abelian(3).is_abelian()
+
     def test_jacobi_residual_value(self):
         # hand expansion: [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = -e3
         residual = jacobi_residual(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)})
@@ -177,6 +190,13 @@ class TestBracket:
         # [X2, X4] = -X5
         assert alg.bracket(basis_vector(6, 1), basis_vector(6, 3)) == \
             tuple(-x for x in basis_vector(6, 4))
+
+    @pytest.mark.parametrize("i, j", [(5, 6), (-1, 0), (0, 2)])
+    def test_bracket_basis_index_out_of_range(self, i, j):
+        alg = LieAlgebra.from_brackets(2, {(0, 1): {1: 1}})
+        assert alg.bracket_basis(0, 1) == (0, 1) and alg.bracket_basis(1, 1) == (0, 0)
+        with pytest.raises(IndexError):
+            alg.bracket_basis(i, j)
 
     @given(st.lists(small_fractions, min_size=4, max_size=4),
            st.lists(small_fractions, min_size=4, max_size=4),
