@@ -305,6 +305,8 @@ class Tensor:
                                           self.den // g)
 
     def __eq__(self, other):
+        if isinstance(other, Matrix):
+            raise TypeError("a Tensor is not compared with a Matrix; read one as the other first")
         if not isinstance(other, Tensor):
             return NotImplemented
         if (self.n, self.order) != (other.n, other.order):
@@ -503,6 +505,8 @@ class Matrix:
         return self.rows[i]
 
     def __eq__(self, other):
+        if isinstance(other, Tensor):
+            raise TypeError("a Matrix is not compared with a Tensor; read one as the other first")
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.nrows != other.nrows or self.ncols != other.ncols:

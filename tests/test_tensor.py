@@ -13,6 +13,7 @@ import json
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -223,3 +224,17 @@ def test_cli_ricci_rows_match_fraction_ricci(tmp_path):
         rc, ric = ricci(s)
         assert doc["ricci"] == [[str(x) for x in row] for row in rc.fractions()]
         assert doc["ricci_operator"] == [[str(x) for x in row] for row in ric.fractions()]
+
+
+def test_tensor_and_matrix_do_not_compare():
+    """A Tensor against a Matrix of the same entries raises in both orders,
+    for == and !=, rather than reading False; other types stay unequal."""
+    rc = ricci(catalog.get("sl2c_killing").structure)[0]
+    m = Matrix(rc.fractions())
+    for left, right in ((rc, m), (m, rc)):
+        with pytest.raises(TypeError):
+            left == right
+        with pytest.raises(TypeError):
+            left != right
+    assert rc == Tensor.of(rc.n, 2, [x for row in m.rows for x in row])
+    assert rc != None and m != None and rc != 0 and m != "m"  # noqa: E711
