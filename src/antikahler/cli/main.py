@@ -4,7 +4,7 @@ Commands: check, curvature, classify, catalog (list | show | export) and
 verify.  Every command accepts --output human|machine; machine output is a
 single JSON document whose numbers are exact rational strings, never floats.
 Exit codes: 0 success, 1 semantic failure (classify on a non-anti-Kahler
-input, verify with failing assertions), 2 input errors.
+input, verify with failing assertions) or stdout closed early, 2 input errors.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -89,7 +90,14 @@ _shared_parser = functools.cache(build_parser)
 def main(argv: Optional[list] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout was closed early, as by `| head`: write nothing more, and
+        # send what is still buffered to os.devnull so the final flush is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (StructureSyntaxError, StructureFileError) as exc:
         _emit_error(args, getattr(exc, "code", "SyntaxError"),
                     getattr(exc, "line", 0), str(exc))

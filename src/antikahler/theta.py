@@ -62,8 +62,10 @@ def theta_is_pure(theta: Tensor, j_map: Matrix) -> bool:
 def anti_kahler_via_theta(s: AntiHermitianStructure) -> bool:
     """Skewness + pureness of theta; an independent route to is_anti_kahler.
 
-    Both tests read the integer numerators of the connection form."""
-    theta = theta_connection_form(s)
+    Both tests read the bracket form, built from the structure constants,
+    g and J alone as the paper defines theta, so no Levi-Civita connection
+    enters this verdict."""
+    theta = theta_bracket_form(s)
     return theta_is_skew(theta) and theta_is_pure(theta, s.J)
 
 

@@ -7,18 +7,25 @@ anti-Kahler input.  Each route must give what the full product
 R = twice - twice^T - C Gamma gives, which is written out here as the
 reference, on the catalog, on the seed-77 stream at dims 4 and 6 (odd
 indices after a random rational basis change) and on dense dim-8/10
-direct sums.
+direct sums.  On the same structures the two constructions of theta, from
+the structure constants and from Gamma, are one tensor.
 """
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import antikahler
 from antikahler import catalog
 from antikahler.classify4 import transform_structure
 from antikahler.cli import main as cli_main
+from antikahler.cli.textio import format_structure
 from antikahler.geometry import (
     AntiHermitianStructure,
     _second_derivatives,
@@ -31,6 +38,7 @@ from antikahler.geometry import (
 )
 from antikahler.liealg import LieAlgebra, is_abelian_j
 from antikahler.scalars import Matrix
+from antikahler.theta import theta_bracket_form, theta_connection_form
 from antikahler.verifier import (
     GeneratorConfig,
     random_anti_hermitian_metric,
@@ -155,6 +163,10 @@ class TestRoutes:
             needed = rc.is_zero() or j_symmetric
         assert ("curvature" in t._cache) == needed
 
+    def test_theta_forms_are_one_tensor(self, s):
+        """check's anti_kahler_theta reads the bracket form alone."""
+        assert theta_bracket_form(s) == theta_connection_form(s)
+
 
 GENERIC = [(name, s) for name, s in CASES if not is_anti_kahler(fresh(s))]
 
@@ -177,3 +189,21 @@ def test_samples_reach_every_route():
                    reference_curvature(s).is_zero(), full_purity(s)))
     assert {(True, True, True, True), (True, False, False, True),
             (True, False, True, True), (False, False, False, False)} <= kinds
+
+
+def test_machine_curvature_into_a_pipe_closed_early(tmp_path):
+    """The reader closes stdout after one byte of a document far larger than
+    a 64 KB pipe buffer: the CLI exits 1 and prints no traceback."""
+    path = tmp_path / "g10d.txt"
+    path.write_text(format_structure(dict(CASES)["g10d"]), encoding="utf-8")
+    src = str(Path(antikahler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "antikahler", "curvature", str(path), "--output", "machine"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=300) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
