@@ -165,15 +165,18 @@ def _cmd_check(args) -> int:
     s = obj
     einstein, lam = is_einstein(s)
     sig = signature(s.g)
-    anti_kahler, abelian_j = is_anti_kahler(s), is_abelian_j(s.algebra, s.J)
+    # s checked J once; the J predicates, Nijenhuis and theta share its
+    # J-contractions of the structure constants through s._memo
+    a, j, memo = s.algebra, s.J, s._memo
+    anti_kahler, abelian_j = is_anti_kahler(s), is_abelian_j(a, j, _memo=memo)
     # anti-Kahler curvature is pure, and flat when J is also abelian; the
     # curvature_purity and abelian_implies_flat suites test both theorems
     predicates = {
         "anti_hermitian": True,
         "abelian_complex_structure": abelian_j,
-        "bi_invariant_complex_structure": is_bi_invariant_j(s.algebra, s.J),
-        "anti_abelian_complex_structure": is_anti_abelian_j(s.algebra, s.J),
-        "nijenhuis_zero": nijenhuis(s.algebra, s.J).is_zero(),
+        "bi_invariant_complex_structure": is_bi_invariant_j(a, j, _memo=memo),
+        "anti_abelian_complex_structure": is_anti_abelian_j(a, j, _memo=memo),
+        "nijenhuis_zero": nijenhuis(a, j, _memo=memo).is_zero(),
         "unimodular": s.algebra.is_unimodular(),
         "anti_kahler_nabla": anti_kahler,
         "anti_kahler_theta": anti_kahler_via_theta(s),

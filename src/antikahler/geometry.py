@@ -159,7 +159,19 @@ def nabla_j(s: AntiHermitianStructure) -> Tensor:
 
 
 def is_anti_kahler(s: AntiHermitianStructure) -> bool:
-    return s._memo("anti_kahler", lambda: nabla_j(s).is_zero())
+    """nabla_j(s) = 0, memoized on s.  The slice nabla_{e_0} J is tested
+    first, so most structures that are not anti-Kahler stop there; only when
+    it vanishes are the other slices tested, together, with slice 0 zeroed."""
+    def build():
+        gamma, j = levi_civita(s).tensor, s.J
+        if gamma[0].pull(j, 0) != gamma[0].push(j, 1):
+            return False
+        rows = gamma.rows()
+        rest = Tensor(gamma.n, 3, [0] * len(rows[0]) + [x for row in rows[1:] for x in row],
+                      gamma.den)
+        return rest.pull(j, 1) == rest.push(j, 2)
+
+    return s._memo("anti_kahler", build)
 
 
 class CurvatureTensor:

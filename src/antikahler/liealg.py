@@ -75,7 +75,13 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
     listed = {(a, b): vec for (a, b), vec in table.items()
               if a != b and a in span and b in span}
     rows, den = clear_denominators(listed.values())
-    listed = dict(zip(listed, rows))
+    return Fraction(_jacobi_worst(dim, dict(zip(listed, rows))), den * den)
+
+
+def _jacobi_worst(dim: int, listed: dict) -> int:
+    """jacobi_residual on integer bracket rows {(a, b): row} with a != b,
+    as the max-abs integer component over the rows' shared denominator
+    squared."""
     bracket = {}
     for (a, b), row in listed.items():
         bracket[(a, b)] = [(k, x) for k, x in enumerate(row) if x]
@@ -83,7 +89,7 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
             bracket[(b, a)] = [(k, -x) for k, x in enumerate(row) if x]
     triples = {tuple(sorted((a, b, c)))
                for (a, b), terms in bracket.items() if terms
-               for c in span if c != a and c != b}
+               for c in range(dim) if c != a and c != b}
     worst = 0
     for i, j, k in triples:
         res = [0] * dim
@@ -92,7 +98,7 @@ def jacobi_residual(dim, brackets: BracketTable = None) -> Fraction:
                 for p, y in bracket.get((m, c), ()):
                     res[p] += x * y
         worst = max(worst, max(map(abs, res)))
-    return Fraction(worst, den * den)
+    return worst
 
 
 class LieAlgebra:
@@ -126,11 +132,12 @@ class LieAlgebra:
                 raise AntisymmetryViolation(
                     f"bracket ({i}, {j}) must be listed with i < j")
             table[(i, j)] = _as_vector(dim, value)
-        residual = jacobi_residual(dim, table)
-        if residual != 0:
-            raise JacobiViolation(f"Jacobi identity fails, residual {residual}")
         rows, den = clear_denominators(table.values())
         listed, zero = dict(zip(table, rows)), [0] * dim
+        worst = _jacobi_worst(dim, listed)
+        if worst:
+            raise JacobiViolation(
+                f"Jacobi identity fails, residual {Fraction(worst, den * den)}")
         upper = Tensor(dim, 3, [x for a in range(dim) for b in range(dim)
                                 for x in listed.get((a, b), zero)], den)
         return cls(upper - upper.permute((1, 0, 2)), _validated=True)
@@ -219,39 +226,68 @@ def _killing_tensor(algebra: LieAlgebra) -> Tensor:
     return c.dot(c.permute((2, 1, 0)), 2)
 
 
-def _checked_structure(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
-    """The structure tensor, once J passes check_complex_structure and is
-    dim x dim (DimensionMismatchError otherwise)."""
+def _j_memo(algebra: LieAlgebra, j_map: Matrix, memo) -> tuple:
+    """(C, memo) for the J-contractions below.  With no memo, J is checked
+    against the algebra (check_complex_structure, then DimensionMismatchError
+    unless J is dim x dim) and a fresh memo is made; a given memo is
+    AntiHermitianStructure._memo of a structure on (algebra, J), which has
+    checked J already."""
+    if memo is not None:
+        return algebra.structure, memo
     check_complex_structure(j_map)
     if j_map.nrows != algebra.dim:
         raise DimensionMismatchError("J must be dim x dim")
-    return algebra.structure
+    cache = {}
+
+    def fresh(key, builder):
+        if key not in cache:
+            cache[key] = builder()
+        return cache[key]
+
+    return algebra.structure, fresh
 
 
-def nijenhuis(algebra: LieAlgebra, j_map: Matrix) -> Tensor:
+def _cj(c: Tensor, j_map: Matrix, memo) -> Tensor:
+    """[Je_a, e_b] laid out as C: C.pull(J, 0), built once per memo."""
+    return memo("cj", lambda: c.pull(j_map, 0))
+
+
+def _cjj(c: Tensor, j_map: Matrix, memo) -> Tensor:
+    """[Je_a, Je_b] laid out as C, built once per memo."""
+    return memo("cjj", lambda: _cj(c, j_map, memo).pull(j_map, 1))
+
+
+# The four functions below share those contractions through _memo, the memo
+# of a validated structure on (algebra, J), as `check` passes it; without it
+# they check J and contract afresh.
+
+
+def nijenhuis(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> Tensor:
     """N(e_i, e_j) = [Jx,Jy] - J[Jx,y] - J[x,Jy] - [x,y] on basis pairs,
-    laid out as C: C(J x J) - J C(J x 1) - J C(1 x J) - C.
+    laid out as C.
 
+    C is antisymmetric, so J[x, Jy] = -J[Jy, x] is J[J., .] with its two
+    slots swapped, and N takes one contraction beyond those it shares.
     Vanishes identically iff J is integrable in the left-invariant sense.
     """
-    c = _checked_structure(algebra, j_map)
-    cj = c.pull(j_map, 0)
-    return cj.pull(j_map, 1) - cj.push(j_map, 2) - c.pull(j_map, 1).push(j_map, 2) - c
+    c, memo = _j_memo(algebra, j_map, _memo)
+    cj_j = _cj(c, j_map, memo).push(j_map, 2)
+    return _cjj(c, j_map, memo) - cj_j + cj_j.permute((1, 0, 2)) - c
 
 
-def is_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
+def is_abelian_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs."""
-    c = _checked_structure(algebra, j_map)
-    return c.pull(j_map, 0).pull(j_map, 1) == c
+    c, memo = _j_memo(algebra, j_map, _memo)
+    return _cjj(c, j_map, memo) == c
 
 
-def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
+def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
     """[Jx, y] = J[x, y] on all basis pairs."""
-    c = _checked_structure(algebra, j_map)
-    return c.pull(j_map, 0) == c.push(j_map, 2)
+    c, memo = _j_memo(algebra, j_map, _memo)
+    return _cj(c, j_map, memo) == c.push(j_map, 2)
 
 
-def is_anti_abelian_j(algebra: LieAlgebra, j_map: Matrix) -> bool:
+def is_anti_abelian_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
     """[Jx, Jy] = -[x, y] on all basis pairs."""
-    c = _checked_structure(algebra, j_map)
-    return c.pull(j_map, 0).pull(j_map, 1) == -c
+    c, memo = _j_memo(algebra, j_map, _memo)
+    return _cjj(c, j_map, memo) == -c

@@ -365,11 +365,15 @@ class Tensor:
         stride = n ** (self.order - 1 - slot)
         if stride == 1:
             return [x for row in int_matmul(self.rows(self.order - 1), m) for x in row]
+        # the blocks t[base + k * stride + r] side by side, row k, in one product
+        bases = range(0, len(t), n * stride)
+        wide = int_matmul(mt, [[x for base in bases for x in t[base + k * stride:
+                                                                base + (k + 1) * stride]]
+                               for k in range(n)])
         out = []
-        for base in range(0, len(t), n * stride):
-            for row in int_matmul(mt, [t[base + k * stride:base + (k + 1) * stride]
-                                       for k in range(n)]):
-                out += row
+        for p in range(0, len(wide[0]), stride):
+            for row in wide:
+                out += row[p:p + stride]
         return out
 
     def dot(self, other: "Tensor", depth: int = 1) -> "Tensor":

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .geometry import AntiHermitianStructure, levi_civita
+from .liealg import _cj
 from .scalars import Matrix, Tensor
 
 
@@ -28,8 +29,9 @@ def _cyclic(p: Tensor) -> Tensor:
 
 
 def j_bracket_pairing(s: AntiHermitianStructure) -> Tensor:
-    """<[Jx, y], z> on basis triples."""
-    return s.algebra.structure.pull(s.J, 0).pull(s.g, 2)
+    """<[Jx, y], z> on basis triples, lowering the C.pull(J, 0) that the J
+    predicates of `check` share through the structure's memo."""
+    return _cj(s.algebra.structure, s.J, s._memo).pull(s.g, 2)
 
 
 def theta_bracket_form(s: AntiHermitianStructure) -> Tensor:

@@ -200,9 +200,7 @@ def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStruct
     if config.dim == 4:
         kind = index % 6
         if kind == 0:
-            algebra = LieAlgebra.abelian(4)
-            j = random_complex_structure(rng, 4, bound)
-            return random_anti_hermitian_metric(algebra, j, rng, bound)
+            return _random_j_structure(LieAlgebra.abelian(4), rng, bound)
         if kind == 1:
             a, b = _nonzero_tuple(rng, bound, 2)
             return make_family_case1(a, b, rng.choice((1, -1)))
@@ -211,20 +209,14 @@ def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStruct
         if kind == 3:
             return random_anti_hermitian_metric(aff_c_real(), standard_j(4), rng, bound)
         if kind == 4:
-            algebra = r_minus_one_minus_one()
-            j = random_complex_structure(rng, 4, bound)
-            return random_anti_hermitian_metric(algebra, j, rng, bound)
-        algebra = aff_c_real()
-        j = random_complex_structure(rng, 4, bound)
-        return random_anti_hermitian_metric(algebra, j, rng, bound)
+            return _random_j_structure(r_minus_one_minus_one(), rng, bound)
+        return _random_j_structure(aff_c_real(), rng, bound)
     if config.dim == 6:
         kind = index % 6
         n7 = catalog.get("n7_J-1").structure
         sl2c = catalog.get("sl2c_killing").structure
         if kind == 0:
-            algebra = LieAlgebra.abelian(6)
-            j = random_complex_structure(rng, 6, bound)
-            return random_anti_hermitian_metric(algebra, j, rng, bound)
+            return _random_j_structure(LieAlgebra.abelian(6), rng, bound)
         if kind == 1:
             return _n7_metric_variant(n7, rng, bound)
         if kind == 2:
@@ -232,11 +224,24 @@ def random_structure(config: GeneratorConfig, index: int) -> AntiHermitianStruct
         if kind == 3:
             return random_anti_hermitian_metric(n7.algebra, n7.J, rng, bound)
         if kind == 4:
-            j = random_complex_structure(rng, 6, bound)
-            return random_anti_hermitian_metric(n7.algebra, j, rng, bound)
-        j = random_complex_structure(rng, 6, bound)
-        return random_anti_hermitian_metric(sl2c.algebra, j, rng, bound)
+            return _random_j_structure(n7.algebra, rng, bound)
+        return _random_j_structure(sl2c.algebra, rng, bound)
     raise ValueError("generator dims are 4 and 6")
+
+
+def _random_j_structure(algebra: LieAlgebra, rng: random.Random,
+                        bound: int) -> AntiHermitianStructure:
+    """A random J on the algebra and a random metric adapted to it.  When
+    every metric draw for a J fails the float filter, a new J is drawn from
+    the same rng, up to 8 J in all; a sample whose first J succeeds keeps
+    the draws it always had."""
+    for _ in range(8):
+        j = random_complex_structure(rng, algebra.dim, bound)
+        try:
+            return random_anti_hermitian_metric(algebra, j, rng, bound)
+        except RuntimeError:
+            continue
+    raise RuntimeError("exhausted retries generating a nondegenerate metric")
 
 
 def _n7_metric_variant(n7: AntiHermitianStructure, rng: random.Random,

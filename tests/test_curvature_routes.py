@@ -8,7 +8,9 @@ R = twice - twice^T - C Gamma gives, which is written out here as the
 reference, on the catalog, on the seed-77 stream at dims 4 and 6 (odd
 indices after a random rational basis change) and on dense dim-8/10
 direct sums.  On the same structures the two constructions of theta, from
-the structure constants and from Gamma, are one tensor.
+the structure constants and from Gamma, are one tensor, and the J
+predicates, the Nijenhuis tensor and the anti-Kahler test that `check`
+decides from shared contractions equal their formulas, written out here.
 """
 
 import json
@@ -34,11 +36,20 @@ from antikahler.geometry import (
     is_anti_kahler,
     is_flat,
     levi_civita,
+    nabla_j,
     ricci,
 )
-from antikahler.liealg import LieAlgebra, is_abelian_j
-from antikahler.scalars import Matrix
-from antikahler.theta import theta_bracket_form, theta_connection_form
+from antikahler.liealg import (
+    JacobiViolation,
+    LieAlgebra,
+    is_abelian_j,
+    is_anti_abelian_j,
+    is_bi_invariant_j,
+    jacobi_residual,
+    nijenhuis,
+)
+from antikahler.scalars import Matrix, Tensor
+from antikahler.theta import j_bracket_pairing, theta_bracket_form, theta_connection_form
 from antikahler.verifier import (
     GeneratorConfig,
     random_anti_hermitian_metric,
@@ -121,6 +132,38 @@ def run_check(monkeypatch, capsys, s):
     return json.loads(capsys.readouterr().out)["predicates"]
 
 
+def reference_j_route(s):
+    """The J predicates, N and <[Jx, y], z>, each contracted afresh from
+    its formula."""
+    c, j = s.algebra.structure, s.J
+    cj = c.pull(j, 0)
+    return {"abelian": cj.pull(j, 1) == c,
+            "bi_invariant": cj == c.push(j, 2),
+            "anti_abelian": cj.pull(j, 1) == -c,
+            "nijenhuis": cj.pull(j, 1) - cj.push(j, 2) - c.pull(j, 1).push(j, 2) - c,
+            "pairing": cj.pull(s.g, 2)}
+
+
+def j_route(s, **memo):
+    a, j = s.algebra, s.J
+    return {"abelian": is_abelian_j(a, j, **memo),
+            "bi_invariant": is_bi_invariant_j(a, j, **memo),
+            "anti_abelian": is_anti_abelian_j(a, j, **memo),
+            "nijenhuis": nijenhuis(a, j, **memo),
+            "pairing": j_bracket_pairing(s)}
+
+
+def perturbed_tables(algebra):
+    """The bracket table with 1/3 e_k added to one bracket, for a few
+    (pair, k); most of them break the Jacobi identity."""
+    n, table = algebra.dim, algebra.nonzero_brackets()
+    for i, j in ((0, 1), (0, n - 1), (1, 2)):
+        for k in (0, n - 1):
+            vec = list(table.get((i, j), [Fraction(0)] * n))
+            vec[k] += Fraction(1, 3)
+            yield n, {**table, (i, j): vec}
+
+
 def full_purity(s):
     """curvature_is_pure reading a memoized R, so no Ricci pre-test runs."""
     s = fresh(s)
@@ -167,6 +210,34 @@ class TestRoutes:
         """check's anti_kahler_theta reads the bracket form alone."""
         assert theta_bracket_form(s) == theta_connection_form(s)
 
+    def test_shared_j_contractions_are_the_formulas(self, s):
+        """Alone and through the memo `check` passes, in either order."""
+        want = reference_j_route(s)
+        shared = fresh(s)
+        for got in (j_route(fresh(s)), j_route(shared, _memo=shared._memo)):
+            for key, value in want.items():
+                if isinstance(value, Tensor):
+                    assert (got[key].den, got[key].nums) == (value.den, value.nums), key
+                else:
+                    assert got[key] == value, key
+        assert {"cj", "cjj"} <= set(shared._cache)
+        theta_first = fresh(s)
+        theta_bracket_form(theta_first)
+        assert nijenhuis(s.algebra, s.J, _memo=theta_first._memo) == want["nijenhuis"]
+
+    def test_anti_kahler_is_nabla_j_zero(self, s):
+        assert is_anti_kahler(fresh(s)) == nabla_j(s).is_zero()
+
+    def test_from_brackets_names_the_jacobi_residual(self, s):
+        for n, table in perturbed_tables(s.algebra):
+            residual = jacobi_residual(n, table)
+            if residual:
+                with pytest.raises(JacobiViolation) as err:
+                    LieAlgebra.from_brackets(n, table)
+                assert str(err.value) == f"Jacobi identity fails, residual {residual}"
+            else:
+                assert jacobi_residual(LieAlgebra.from_brackets(n, table)) == 0
+
 
 GENERIC = [(name, s) for name, s in CASES if not is_anti_kahler(fresh(s))]
 
@@ -177,6 +248,39 @@ def test_generic_check_builds_no_curvature(s, monkeypatch, capsys):
     predicates = run_check(monkeypatch, capsys, t)
     assert not predicates["anti_kahler_nabla"]
     assert "curvature" not in t._cache
+
+
+def test_anti_kahler_reads_past_slice_zero():
+    """An anti-Kahler summand first: nabla_{e_0} J vanishes, and only the
+    slices of the generic summand decide."""
+    affc = catalog.get("affC_std").structure
+    for _, t in GENERIC[:6]:
+        s = direct_sum(affc, t)
+        nj = nabla_j(s)
+        assert nj[0].is_zero() and not nj.is_zero()
+        assert not is_anti_kahler(s)
+
+
+def test_perturbed_tables_break_jacobi():
+    broken = sum(bool(jacobi_residual(n, table))
+                 for _, s in CASES for n, table in perturbed_tables(s.algebra))
+    assert broken > len(CASES)
+
+
+@pytest.mark.parametrize("name, most", [("g10d", 12), ("ak10d", 15)])
+def test_contractions_per_check(name, most, monkeypatch, capsys):
+    """Tensor.pull and Tensor.push calls in one `check`: the J-contractions
+    are shared, and nabla J stops at slice 0 on generic input (20 and 21
+    when each predicate contracted afresh)."""
+    calls = []
+    for attr in ("pull", "push"):
+        def counted(self, m, slot, _orig=getattr(Tensor, attr)):
+            calls.append(slot)
+            return _orig(self, m, slot)
+        monkeypatch.setattr(Tensor, attr, counted)
+    predicates = run_check(monkeypatch, capsys, fresh(dict(CASES)[name]))
+    assert predicates["anti_kahler_nabla"] == name.startswith("ak")
+    assert len(calls) <= most
 
 
 def test_samples_reach_every_route():

@@ -11,6 +11,7 @@ import io
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from antikahler import catalog
 from antikahler.cli.main import main
 from antikahler.cli.textio import format_structure
 from antikahler.geometry import ricci
-from antikahler.scalars import Matrix, Tensor
+from antikahler.scalars import Matrix, Tensor, int_matmul
 from antikahler.verifier import GeneratorConfig, random_structure
 
 BIG = 2 ** 80
@@ -201,6 +202,40 @@ class TestAgainstFractions:
         assert all(z.is_zero() and z.reduced().den == 1 for z in zeros)
         assert zeros[2].texts() == [["0"] * 3] * 3
         assert zeros[2].fractions() == ((Fraction(0),) * 3,) * 3
+
+
+def blockwise_contract(t, m, mt, slot):
+    """Tensor._contract one integer product per block of `slot`: the n rows
+    t[base + k * stride:base + (k + 1) * stride] of each block times mt."""
+    n, nums = t.n, t.nums
+    stride = n ** (t.order - 1 - slot)
+    if stride == 1:
+        return [x for row in int_matmul(t.rows(t.order - 1), m) for x in row]
+    out = []
+    for base in range(0, len(nums), n * stride):
+        for row in int_matmul(mt, [nums[base + k * stride:base + (k + 1) * stride]
+                                   for k in range(n)]):
+            out += row
+    return out
+
+
+def test_one_product_contraction_is_the_blockwise_one():
+    """Exact numerators and denominator on random integer tensors of order
+    1-4 on Q^1 to Q^5, sparse and dense, for pull and push at every slot."""
+    rng = random.Random(41)
+    for _ in range(400):
+        n, order = rng.randint(1, 5), rng.randint(1, 4)
+        density = rng.choice((0.2, 1.0))
+        t = Tensor(n, order, [rng.randint(-9, 9) if rng.random() < density else 0
+                              for _ in range(n ** order)], rng.randint(1, 6))
+        mat = Matrix([[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                      for _ in range(n)])
+        rows, cols, den = mat.integer_form
+        for slot in range(order):
+            pulled, pushed = t.pull(mat, slot), t.push(mat, slot)
+            assert pulled.den == pushed.den == t.den * den
+            assert pulled.nums == blockwise_contract(t, rows, cols, slot)
+            assert pushed.nums == blockwise_contract(t, cols, rows, slot)
 
 
 def structures():

@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import antikahler
 from antikahler import catalog
 from antikahler.cli.textio import format_structure, parse_structure
 from antikahler.classify4 import standard_j
@@ -44,6 +49,39 @@ class TestDeterminism:
         cfg = GeneratorConfig(master_seed=11, samples=4, dim=4)
         for i in range(4):
             assert random_structure(cfg, i) == random_structure(cfg, i)
+
+
+# dim-6 samples (master seed, index) of random-J kinds whose first J admits
+# no metric draw that passes the float filter
+FIRST_J_FAILS = [(4169, 4), (7314, 10), (7695, 5), (8568, 0), (10358, 0),
+                 (11695, 11), (11926, 4)]
+
+
+@pytest.mark.parametrize("seed, index", FIRST_J_FAILS)
+def test_random_structure_redraws_a_j_without_metric(seed, index):
+    cfg = GeneratorConfig(master_seed=seed, dim=6)
+    rng = sample_rng(cfg, index)
+    kind = index % 6
+    algebra = (LieAlgebra.abelian(6) if kind == 0 else
+               catalog.get("n7_J-1" if kind == 4 else "sl2c_killing").structure.algebra)
+    j = random_complex_structure(rng, 6, cfg.coefficient_bound)
+    with pytest.raises(RuntimeError, match="exhausted retries"):
+        random_anti_hermitian_metric(algebra, j, rng, cfg.coefficient_bound)
+    s = random_structure(cfg, index)
+    assert s.algebra == algebra and s.J != j
+    assert random_structure(cfg, index) == s
+
+
+def test_verify_at_a_seed_that_redraws_j_exits_cleanly():
+    src = str(Path(antikahler.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "antikahler", "verify", "theta_iff_antikahler",
+         "--seed", "4169", "--dim", "6"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
 
 
 class TestGenerators:
