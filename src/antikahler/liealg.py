@@ -227,24 +227,20 @@ def _killing_tensor(algebra: LieAlgebra) -> Tensor:
 
 
 def _j_memo(algebra: LieAlgebra, j_map: Matrix, memo) -> tuple:
-    """(C, memo) for the J-contractions below.  With no memo, J is checked
-    against the algebra (check_complex_structure, then DimensionMismatchError
-    unless J is dim x dim) and a fresh memo is made; a given memo is
+    """(C, memo) for the J-contractions below.  The four public functions
+    after them take the memo as `_memo`: `check` passes
     AntiHermitianStructure._memo of a structure on (algebra, J), which has
-    checked J already."""
-    if memo is not None:
-        return algebra.structure, memo
-    check_complex_structure(j_map)
-    if j_map.nrows != algebra.dim:
-        raise DimensionMismatchError("J must be dim x dim")
-    cache = {}
+    checked J already, so they share their contractions.  Without one, J is
+    checked against the algebra (check_complex_structure, then
+    DimensionMismatchError unless J is dim x dim) and nothing is shared."""
+    if memo is None:
+        check_complex_structure(j_map)
+        if j_map.nrows != algebra.dim:
+            raise DimensionMismatchError("J must be dim x dim")
 
-    def fresh(key, builder):
-        if key not in cache:
-            cache[key] = builder()
-        return cache[key]
-
-    return algebra.structure, fresh
+        def memo(key, builder):
+            return builder()
+    return algebra.structure, memo
 
 
 def _cj(c: Tensor, j_map: Matrix, memo) -> Tensor:
@@ -252,14 +248,10 @@ def _cj(c: Tensor, j_map: Matrix, memo) -> Tensor:
     return memo("cj", lambda: c.pull(j_map, 0))
 
 
-def _cjj(c: Tensor, j_map: Matrix, memo) -> Tensor:
-    """[Je_a, Je_b] laid out as C, built once per memo."""
-    return memo("cjj", lambda: _cj(c, j_map, memo).pull(j_map, 1))
-
-
-# The four functions below share those contractions through _memo, the memo
-# of a validated structure on (algebra, J), as `check` passes it; without it
-# they check J and contract afresh.
+def _cjj(cj: Tensor, j_map: Matrix, memo) -> Tensor:
+    """[Je_a, Je_b] laid out as C, from cj = _cj(C, J, memo), built once
+    per memo."""
+    return memo("cjj", lambda: cj.pull(j_map, 1))
 
 
 def nijenhuis(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> Tensor:
@@ -267,18 +259,19 @@ def nijenhuis(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> Tensor:
     laid out as C.
 
     C is antisymmetric, so J[x, Jy] = -J[Jy, x] is J[J., .] with its two
-    slots swapped, and N takes one contraction beyond those it shares.
+    slots swapped, and N takes three contractions, two of them shared.
     Vanishes identically iff J is integrable in the left-invariant sense.
     """
     c, memo = _j_memo(algebra, j_map, _memo)
-    cj_j = _cj(c, j_map, memo).push(j_map, 2)
-    return _cjj(c, j_map, memo) - cj_j + cj_j.permute((1, 0, 2)) - c
+    cj = _cj(c, j_map, memo)
+    cj_j = cj.push(j_map, 2)
+    return _cjj(cj, j_map, memo) - cj_j + cj_j.permute((1, 0, 2)) - c
 
 
 def is_abelian_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
     """[Jx, Jy] = [x, y] on all basis pairs."""
     c, memo = _j_memo(algebra, j_map, _memo)
-    return _cjj(c, j_map, memo) == c
+    return _cjj(_cj(c, j_map, memo), j_map, memo) == c
 
 
 def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
@@ -290,4 +283,4 @@ def is_bi_invariant_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool
 def is_anti_abelian_j(algebra: LieAlgebra, j_map: Matrix, *, _memo=None) -> bool:
     """[Jx, Jy] = -[x, y] on all basis pairs."""
     c, memo = _j_memo(algebra, j_map, _memo)
-    return _cjj(c, j_map, memo) == -c
+    return _cjj(_cj(c, j_map, memo), j_map, memo) == -c
