@@ -565,7 +565,6 @@ class Case2Curvature:
     """Closed-form curvature data of the bi-invariant family."""
 
     zeta: GaussianRational
-    h_block: Matrix
     r_xy: Matrix
     ricci_operator: Matrix
     flat: bool
@@ -585,7 +584,6 @@ def closed_form_curvature_case2(t: Sequence) -> Case2Curvature:
     zeta = zeta_from_params(t)
     re, im = zeta.re, zeta.im
     zero = Fraction(0)
-    h = Matrix([[re, -im], [im, re]])
     r_xy = Matrix([
         [zero, zero, -re, im],
         [zero, zero, -im, -re],
@@ -602,7 +600,6 @@ def closed_form_curvature_case2(t: Sequence) -> Case2Curvature:
     einstein = (im == 0)
     return Case2Curvature(
         zeta=zeta,
-        h_block=h,
         r_xy=r_xy,
         ricci_operator=ric,
         flat=flat,

@@ -11,7 +11,7 @@ the same captures and names each one whose digest differs.
 
 The inputs: every catalog entry, the seed-77 ``random_structure`` stream at
 indices 0-35 of dims 4 and 6, and its odd indices again after the random
-rational basis change of ``tests/test_curvature_routes.py``.  Each is run
+rational basis change of ``tests/corpora.py``.  Each is run
 through check, curvature and classify in both output modes.  Besides them:
 ``verify --output machine`` of every suite at dims 4 and 6, seed 1007, and
 catalog show and export of two entries.
@@ -22,21 +22,15 @@ import hashlib
 import io
 import json
 import os
-import random
 import sys
 import tempfile
 from pathlib import Path
 
-from antikahler import catalog
-from antikahler.classify4 import transform_structure
+from corpora import CATALOG, changed_basis, stream_structure
+
 from antikahler.cli.main import main as cli_main
 from antikahler.cli.textio import format_structure
-from antikahler.verifier import (
-    GeneratorConfig,
-    list_suites,
-    random_invertible_matrix,
-    random_structure,
-)
+from antikahler.verifier import list_suites
 
 CORPUS_PATH = Path(__file__).resolve().parent / "byte_corpus.json"
 
@@ -51,14 +45,12 @@ def sha256(text: str) -> str:
 
 def inputs() -> dict:
     """File name -> text of every corpus input."""
-    structures = {name: catalog.get(name).structure for name in catalog.list_names()}
+    structures = dict(CATALOG)
     for dim in (4, 6):
-        config = GeneratorConfig(master_seed=77, dim=dim)
         for index in STREAM_INDICES:
-            s = structures[f"stream{dim}-{index}"] = random_structure(config, index)
+            s = structures[f"stream{dim}-{index}"] = stream_structure(dim, index)
             if index % 2:
-                p = random_invertible_matrix(random.Random(f"{dim}:{index}"), dim, 2)
-                structures[f"stream{dim}-{index}-basis"] = transform_structure(s, p)
+                structures[f"stream{dim}-{index}-basis"] = changed_basis(s, f"{dim}:{index}")
     return {f"{name}.txt": format_structure(s) for name, s in structures.items()}
 
 

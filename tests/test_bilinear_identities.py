@@ -37,7 +37,7 @@ from antikahler.scalars import (
     basis_vector,
 )
 from antikahler.verifier import _standard_pair_isometry, random_invertible_matrix
-from test_j_contractions import structures
+from corpora import structures
 
 # ---------------------------------------------------------------------------
 # reference implementations, one Fraction bracket or form value per basis pair

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import tracemalloc
 
@@ -14,7 +15,7 @@ from antikahler.cli.textio import (
     parse_structure,
 )
 from antikahler.liealg import LieAlgebra
-from test_j_contractions import fraction_views
+from corpora import SPECIAL, fraction_views
 
 
 def run_cli(capsys, *argv):
@@ -25,8 +26,7 @@ def run_cli(capsys, *argv):
 
 class TestParse:
     def test_round_trip_catalog(self):
-        for name in catalog.list_names():
-            s = catalog.get(name).structure
+        for s in SPECIAL:
             text = format_structure(s)
             assert parse_structure(text) == s
             assert format_structure(parse_structure(text)) == text
@@ -155,6 +155,57 @@ class TestAsciiDigits:
                 "row = 0 -1\n[complex_structure]\nrow = 0 -1\nrow = 1 0\n")
         s = parse_structure(text)
         assert s.dim == 2 and s.algebra.bracket_basis(0, 1) == (1, 0)
+
+
+D2 = "[algebra]\ndim = 2\n"
+
+# argv, input text (None: no file), and the message of every exit-2 path
+# that reports a SyntaxError; a parser message starts with its line number
+EXIT_2 = {
+    "duplicate-section": (["check"], D2 + "[algebra]\n", "line 3: duplicate section [algebra]"),
+    "algebra-not-first": (["check"], "[metric]\n", "line 1: [algebra] section must come first"),
+    "bad-row-line": (["check"], D2 + "[metric]\nrow 1 0\n", "line 4: expected 'row = ...' line"),
+    "rows-before-dim": (["check"], "[algebra]\n[metric]\nrow = 1 0\n",
+                        "line 3: dim must be declared before rows"),
+    "row-length": (["check"], D2 + "[metric]\nrow = 1 0 0\n", "line 4: expected 2 entries, got 3"),
+    "no-algebra": (["check"], "# no sections\n", "line 0: missing [algebra] section"),
+    "no-dim": (["check"], "[algebra]\n", "line 1: missing 'dim = N' line"),
+    "bracket-index": (["check"], D2 + "bracket e1 e3 = 1 e1\n",
+                      "line 3: basis index out of range e1 e3"),
+    "row-count": (["check"], D2 + "[metric]\nrow = 1 0\n[complex_structure]\nrow = 0 -1\n"
+                  "row = 1 0\n", "line 3: [metric] needs exactly 2 row lines"),
+    "bad-dim": (["check"], "[algebra]\ndim = two\n", "line 2: bad dimension 'two'"),
+    "malformed-dim": (["check"], "[algebra]\ndim 2\n", "line 2: expected 'dim = <int>'"),
+    "duplicate-dim": (["check"], D2 + "dim = 2\n", "line 3: duplicate dim line"),
+    "dim-0": (["check"], "[algebra]\ndim = 0\n", "line 2: dim must be positive"),
+    "malformed-bracket": (["check"], D2 + "bracket e1 e2 1 e1\n",
+                          "line 3: expected 'bracket e<i> e<j> = ...'"),
+    "empty-rhs": (["check"], D2 + "bracket e1 e2 =\n", "line 3: empty bracket right-hand side"),
+    "missing-plus": (["check"], D2 + "bracket e1 e2 = 1 e1 1 e2\n",
+                     "line 3: expected '+', got '1'"),
+    "truncated-term": (["check"], D2 + "bracket e1 e2 = 1\n", "line 3: truncated bracket term"),
+    "curvature-on-algebra": (["curvature"], D2,
+                             "curvature needs metric and complex-structure sections"),
+    "catalog-show": (["catalog", "show"], None, "catalog show/export needs a name"),
+    "catalog-export": (["catalog", "export"], None, "catalog show/export needs a name"),
+}
+
+
+@pytest.mark.parametrize("mode", ["human", "machine"])
+@pytest.mark.parametrize("argv, text, message", EXIT_2.values(), ids=EXIT_2)
+def test_exit_2_names_line_and_message(tmp_path, capsys, argv, text, message, mode):
+    if text is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = argv + [str(path)]
+    code, out, err = run_cli(capsys, *argv, "--output", mode)
+    assert code == 2 and "Traceback" not in out + err
+    if mode == "human":
+        assert (out, err) == ("", f"error[SyntaxError] {message}\n")
+    else:
+        line = re.match(r"line (\d+): |", message)[1] or 0
+        assert err == "" and json.loads(out) == {
+            "error": {"class": "SyntaxError", "line": int(line), "message": message}}
 
 
 class TestCommands:

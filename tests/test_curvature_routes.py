@@ -5,31 +5,32 @@ is not memoized, `is_flat` and `curvature_is_pure` let Ricci decide False
 first, and `check` reads flatness and purity from the paper's theorems on
 anti-Kahler input.  Each route must give what the full product
 R = twice - twice^T - C Gamma gives, which is written out here as the
-reference, on the catalog, on the seed-77 stream at dims 4 and 6 (odd
-indices after a random rational basis change) and on dense dim-8/10
-direct sums.  On the same structures the two constructions of theta, from
-the structure constants and from Gamma, are one tensor, and the J
-predicates, the Nijenhuis tensor and the anti-Kahler test that `check`
-decides from shared contractions equal their formulas, written out here.
+reference, on corpora.named_structures: the catalog, the seed-77 stream
+at dims 4 and 6 (odd indices after a random rational basis change) and
+dense dim-8/10 direct sums.  On the same structures the two constructions
+of theta, from the structure constants and from Gamma, are one tensor, the
+J predicates, the Nijenhuis tensor and the anti-Kahler test that `check`
+decides from shared contractions equal their formulas, written out here,
+and every `check` document keeps the paper's implications
+(reference.broken_implications).
 """
 
 import json
 import os
-import random
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import reference
+from corpora import direct_sum, fresh, named_structures
 
 import antikahler
 from antikahler import catalog
-from antikahler.classify4 import transform_structure
 from antikahler.cli import main as cli_main
 from antikahler.cli.textio import format_structure
 from antikahler.geometry import (
-    AntiHermitianStructure,
     _second_derivatives,
     curvature,
     curvature_is_pure,
@@ -48,17 +49,8 @@ from antikahler.liealg import (
     jacobi_residual,
     nijenhuis,
 )
-from antikahler.scalars import Matrix, Tensor
+from antikahler.scalars import Tensor
 from antikahler.theta import j_bracket_pairing, theta_bracket_form, theta_connection_form
-from antikahler.verifier import (
-    GeneratorConfig,
-    random_anti_hermitian_metric,
-    random_complex_structure,
-    random_invertible_matrix,
-    random_structure,
-)
-
-STREAM_SAMPLES = 48
 
 
 def reference_curvature(s):
@@ -68,68 +60,16 @@ def reference_curvature(s):
     return twice - twice.permute((1, 0, 2, 3)) - s.algebra.structure.dot(gamma)
 
 
-def fresh(s):
-    """The same structure with an empty memo."""
-    return AntiHermitianStructure(s.algebra, s.g, s.J)
-
-
-def block_sum(x, y):
-    zero = Fraction(0)
-    n, m = x.nrows, y.nrows
-    return Matrix([list(row) + [zero] * m for row in x.rows]
-                  + [[zero] * n + list(row) for row in y.rows])
-
-
-def direct_sum_algebra(a, b):
-    zero = Fraction(0)
-    brackets = {key: list(vec) + [zero] * b.dim for key, vec in a.nonzero_brackets().items()}
-    brackets.update({(i + a.dim, j + a.dim): [zero] * a.dim + list(vec)
-                     for (i, j), vec in b.nonzero_brackets().items()})
-    return LieAlgebra.from_brackets(a.dim + b.dim, brackets)
-
-
-def direct_sum(s, t):
-    return AntiHermitianStructure(direct_sum_algebra(s.algebra, t.algebra),
-                                  block_sum(s.g, t.g), block_sum(s.J, t.J))
-
-
-def dense_sums():
-    """Dense dim-8 and dim-10 structures, anti-Kahler and generic."""
-    rng = random.Random(29)
-    affc = catalog.get("affC_std").structure
-    for name in ("r-1-1_std", "n7_J-1"):
-        product = direct_sum(catalog.get(name).structure, affc)
-        n = product.dim
-        dense = transform_structure(product, random_invertible_matrix(rng, n, 2))
-        yield f"ak{n}d", dense
-        yield f"g{n}d", random_anti_hermitian_metric(
-            dense.algebra, random_complex_structure(rng, n, 2), rng, 2)
-
-
-def structures(samples=STREAM_SAMPLES):
-    """The catalog, `samples` seed-77 stream structures at each of dims 4 and 6
-    (odd indices after a random rational basis change), and dense_sums()."""
-    out = [(name, catalog.get(name).structure) for name in catalog.list_names()]
-    for dim in (4, 6):
-        config = GeneratorConfig(master_seed=77, dim=dim)
-        for index in range(samples):
-            s = random_structure(config, index)
-            if index % 2:
-                p = random_invertible_matrix(random.Random(f"{dim}:{index}"), dim, 2)
-                s = transform_structure(s, p)
-            out.append((f"stream{dim}-{index}", s))
-    return out + list(dense_sums())
-
-
-CASES = structures()
+CASES = named_structures()
 IDS = [name for name, _ in CASES]
 
 
 def run_check(monkeypatch, capsys, s):
-    """`check --output machine` on s itself, so its memo can be read after."""
+    """The `check --output machine` document of s itself, so that its memo
+    can be read after."""
     monkeypatch.setattr(cli_main, "_load", lambda path: s)
     assert cli_main.main(["check", "structure.txt", "--output", "machine"]) == 0
-    return json.loads(capsys.readouterr().out)["predicates"]
+    return json.loads(capsys.readouterr().out)
 
 
 def reference_j_route(s):
@@ -194,7 +134,9 @@ class TestRoutes:
 
     def test_check_verdicts_and_what_check_builds(self, s, monkeypatch, capsys):
         t = fresh(s)
-        predicates = run_check(monkeypatch, capsys, t)
+        doc = run_check(monkeypatch, capsys, t)
+        assert reference.broken_implications(doc) == []
+        predicates = doc["predicates"]
         assert predicates["flat"] == reference_curvature(s).is_zero()
         assert predicates["curvature_pure"] == full_purity(s)
         # R is built only when Ricci cannot decide a verdict that no theorem gives
@@ -245,7 +187,7 @@ GENERIC = [(name, s) for name, s in CASES if not is_anti_kahler(fresh(s))]
 @pytest.mark.parametrize("s", [s for _, s in GENERIC], ids=[name for name, _ in GENERIC])
 def test_generic_check_builds_no_curvature(s, monkeypatch, capsys):
     t = fresh(s)
-    predicates = run_check(monkeypatch, capsys, t)
+    predicates = run_check(monkeypatch, capsys, t)["predicates"]
     assert not predicates["anti_kahler_nabla"]
     assert "curvature" not in t._cache
 
@@ -278,7 +220,7 @@ def test_contractions_per_check(name, most, monkeypatch, capsys):
             calls.append(slot)
             return _orig(self, m, slot)
         monkeypatch.setattr(Tensor, attr, counted)
-    predicates = run_check(monkeypatch, capsys, fresh(dict(CASES)[name]))
+    predicates = run_check(monkeypatch, capsys, fresh(dict(CASES)[name]))["predicates"]
     assert predicates["anti_kahler_nabla"] == name.startswith("ak")
     assert len(calls) <= most
 

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from corpora import SPECIAL, fresh
 
 from antikahler import catalog
 from antikahler.classify4 import (
@@ -45,8 +46,7 @@ from antikahler.verifier import GeneratorConfig, random_structure
 
 
 def sample_structures():
-    for name in catalog.list_names():
-        yield catalog.get(name).structure
+    yield from SPECIAL
     cfg = GeneratorConfig(master_seed=31415, samples=8, dim=4)
     for i in range(8):
         yield random_structure(cfg, i)
@@ -240,12 +240,6 @@ class TestCurvature:
                 assert curvature_j_anticommutes(s)
 
 
-def fresh(name):
-    """A new, unmemoized copy of a catalog structure."""
-    s = catalog.get(name).structure
-    return AntiHermitianStructure(s.algebra, s.g, s.J)
-
-
 class TestMemo:
     def test_own_connection_uses_memo(self, monkeypatch):
         """Every derived object reads the one memoized Levi-Civita connection."""
@@ -253,7 +247,7 @@ class TestMemo:
         init = Connection.__init__
         monkeypatch.setattr(Connection, "__init__",
                             lambda self, gamma: built.append(gamma) or init(self, gamma))
-        s = fresh("sl2c_killing")
+        s = fresh(catalog.get("sl2c_killing").structure)
         assert curvature(s) is curvature(s)
         assert ricci(s) is ricci(s)
         nabla_j(s)
@@ -272,7 +266,7 @@ class TestLazyFractionViews:
 
     def test_views_match_the_accessors(self):
         for s in sample_structures():
-            s = AntiHermitianStructure(s.algebra, s.g, s.J)
+            s = fresh(s)
             n, conn, r = s.dim, levi_civita(s), curvature(s)
             ops = conn.operators
             assert len(ops) == n and all(isinstance(m, Matrix) for m in ops)

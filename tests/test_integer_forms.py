@@ -1,11 +1,11 @@
-"""Integer forms computed once per object, against the Fraction routines
-they replaced, which are kept here as the reference.
+"""Integer forms computed once per object, against tests/reference.py,
+which computes each value from its definition in plain Fractions.
 
 Covers the validation of AntiHermitianStructure, the Connection that stores
 integer Christoffel numerators, the Ricci-based predicates, the Killing
 anti-invariance, Nijenhuis and theta tests of ``check``, and the lazily
 filled ``Matrix.integer_form``, which no reader may change.  Inputs are the
-seeded stream structures of ``test_j_contractions`` (dims 4 and 6, half of
+seeded stream structures of ``corpora.structures`` (dims 4 and 6, half of
 them after a random rational basis change) and the catalog.
 """
 
@@ -15,12 +15,23 @@ import random
 from fractions import Fraction
 
 import pytest
+import reference
+from corpora import (
+    SPECIAL,
+    changed_basis,
+    fresh,
+    j_candidates,
+    lists,
+    raised,
+    raw,
+    structures,
+    tensor3,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_j_contractions import SPECIAL, j_candidates, structures, tensor3
 
 from antikahler import catalog, geometry
-from antikahler.classify4 import make_family_case2, transform_structure
+from antikahler.classify4 import make_family_case2
 from antikahler.cli.main import main
 from antikahler.cli.textio import format_structure
 from antikahler.geometry import (
@@ -34,7 +45,6 @@ from antikahler.geometry import (
     is_ricci_flat,
     killing_anti_invariant,
     levi_civita,
-    ricci,
     second_derivatives_commute,
 )
 from antikahler.liealg import LieAlgebra, nijenhuis
@@ -43,8 +53,6 @@ from antikahler.scalars import (
     GaussianRational,
     Matrix,
     SingularMatrixError,
-    Tensor,
-    basis_vector,
     clear_denominators,
     format_rational,
 )
@@ -54,10 +62,10 @@ from antikahler.theta import (
     theta_is_pure,
     theta_is_skew,
 )
-from antikahler.verifier import GeneratorConfig, random_invertible_matrix, random_structure
+from antikahler.verifier import GeneratorConfig, random_structure
 
 # ---------------------------------------------------------------------------
-# reference implementations, one Fraction operation per entry
+# references that pin a route or a behaviour rather than a value
 
 
 def ref_mul(a, b):
@@ -83,97 +91,6 @@ def ref_validate(algebra, g, j_map):
         raise NotAntiIsometryError("g(Jx, Jy) != -g(x, y)")
 
 
-def outcome(fn, *args):
-    """(exception type, message) that fn(*args) raises, or None."""
-    try:
-        fn(*args)
-    except (DimensionMismatchError, BadJSquareError, NotAntiIsometryError,
-            SingularMetricError) as exc:
-        return type(exc), str(exc)
-    return None
-
-
-def ref_operators(s):
-    """Koszul formula entry by entry: M_i[k][j] = Gamma^k_ij."""
-    n, alg, g = s.dim, s.algebra, s.g
-
-    def low(a, b, k):
-        w = alg.bracket_basis(a, b)
-        return sum((w[m] * g[m][k] for m in range(n) if w[m]), Fraction(0))
-
-    ops = []
-    for i in range(n):
-        rhs = Matrix([[(low(i, j, k) - low(j, k, i) + low(k, i, j)) / 2 for j in range(n)]
-                      for k in range(n)])
-        ops.append(ref_mul(s.g_inv, rhs))
-    return ops
-
-
-def gamma_of(ops):
-    """Operators M_i as the tensor Gamma[i][j][k] = M_i[k][j], over the lcm of
-    their denominators."""
-    n = len(ops)
-    return Tensor.of(n, 3, (ops[i][k][j] for i in range(n) for j in range(n) for k in range(n)))
-
-
-def ref_abelian_operators(s):
-    """nabla_{e_i} e_c = 1/2 ([e_i, e_c] - J [e_i, J e_c])."""
-    n, alg, j = s.dim, s.algebra, s.J
-    half = Fraction(1, 2)
-    ops = []
-    for i in range(n):
-        cols = []
-        for c in range(n):
-            twisted = j.apply(alg.bracket(basis_vector(n, i), j.col(c)))
-            cols.append(tuple(half * (a - b) for a, b in zip(alg.bracket_basis(i, c), twisted)))
-        ops.append(Matrix.from_cols(cols))
-    return ops
-
-
-def ref_second_derivatives_commute(ops):
-    n = len(ops)
-    return all(ref_mul(ops[i], ops[j]) == ref_mul(ops[j], ops[i])
-               for i in range(n) for j in range(i + 1, n))
-
-
-def ref_is_einstein(s):
-    rc = Matrix(ricci(s)[0].fractions())
-    n = s.dim
-    lam = next(rc[i][j] / s.g[i][j] for i in range(n) for j in range(n) if s.g[i][j])
-    return (True, lam) if rc == lam * s.g else (False, None)
-
-
-def ref_killing_anti_invariant(s):
-    b = s.algebra.killing_form()
-    return ref_mul(ref_mul(s.J.transpose(), b), s.J) == -b
-
-
-def ref_theta_is_skew(theta):
-    n = theta.n
-    return all(theta[j, i, k] == -theta[i, j, k] and theta[i, k, j] == -theta[i, j, k]
-               for i in range(n) for j in range(n) for k in range(n))
-
-
-def ref_theta_is_pure(theta, j_map):
-    n = theta.n
-
-    def moved(slot):
-        out = []
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    idx = (i, j, k)
-                    total = Fraction(0)
-                    for m in range(n):
-                        sub = list(idx)
-                        sub[slot] = m
-                        total += j_map[m][idx[slot]] * theta[sub]
-                    out.append(total)
-        return out
-
-    return moved(0) == moved(1) == moved(2)
-
-
 def stream_and_catalog():
     """The catalog, non-flat Einstein structures whose metrics have
     denominators, and stream structures at dims 4 and 6; each of the last
@@ -186,9 +103,7 @@ def stream_and_catalog():
     stream = [random_structure(GeneratorConfig(dim=dim, master_seed=5), index)
               for dim, count in ((4, 12), (6, 6)) for index in range(count)]
     for index, s in enumerate(einstein + stream):
-        out.append(s)
-        out.append(transform_structure(
-            s, random_invertible_matrix(random.Random(index), s.dim, 2)))
+        out += [s, changed_basis(s, index)]
     return out
 
 
@@ -237,8 +152,8 @@ class TestValidation:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_checks(self, case):
         algebra, g, j = case
-        want = outcome(ref_validate, algebra, g, j)
-        assert outcome(AntiHermitianStructure, algebra, g, j) == want
+        want = raised(ref_validate, algebra, g, j)
+        assert raised(AntiHermitianStructure, algebra, g, j) == want
         if want is None:
             s = AntiHermitianStructure(algebra, g, j)
             assert s.g is g and s.J is j
@@ -275,47 +190,46 @@ class TestConnection:
 
     @staticmethod
     def assert_matches(s):
-        s = AntiHermitianStructure(s.algebra, s.g, s.J)  # no memo shared with other tests
-        n = s.dim
-        ops = ref_operators(s)
-        conn, reference = levi_civita(s), gamma_of(ops)
+        s = fresh(s)  # no memo shared with other tests
+        c, g, _ = raw(s)
+        gamma = reference.christoffel(c, g)
+        conn, want = levi_civita(s), tensor3(gamma)
         # the reduced denominator is the lcm of the reduced Fraction denominators
-        assert conn.tensor.den == math.lcm(*(x.denominator for m in ops for row in m.rows
+        assert conn.tensor.den == math.lcm(*(x.denominator for plane in gamma for row in plane
                                              for x in row))
-        assert (conn.tensor.nums, conn.tensor.den) == (reference.nums, reference.den)
+        assert (conn.tensor.nums, conn.tensor.den) == (want.nums, want.den)
         # a Connection keeps the Christoffel tensor it is given, reduced
-        unreduced = Connection(reference * 3 / 3).tensor
-        assert (unreduced.nums, unreduced.den) == (reference.nums, reference.den)
+        unreduced = Connection(want * 3 / 3).tensor
+        assert (unreduced.nums, unreduced.den) == (want.nums, want.den)
         assert conn._operators is None
+        n = s.dim
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     got = conn.tensor[i, j, k]
-                    assert type(got) is Fraction and got == ops[i][k][j]
-        assert conn.tensor.texts() == [
-            [[format_rational(ops[i][k][j]) for k in range(n)] for j in range(n)]
-            for i in range(n)]
-        assert conn.operators == tuple(ops)
+                    assert type(got) is Fraction and got == gamma[i][j][k]
+        assert conn.tensor.texts() == [[[format_rational(x) for x in row] for row in plane]
+                                       for plane in gamma]
+        assert conn.operators == tuple(map(Matrix.from_cols, gamma))
         assert all(type(x) is Fraction for m in conn.operators for row in m.rows for x in row)
 
     @given(structures())
     @settings(max_examples=30, deadline=None)
     def test_abelian_formula_and_commuting_derivatives(self, s):
-        ops = ref_abelian_operators(s)
-        got = abelian_j_connection(s)
-        assert got == gamma_of(ops)
-        assert second_derivatives_commute(s) == ref_second_derivatives_commute(
-            levi_civita(s).operators)
+        c, g, j = raw(s)
+        assert lists(abelian_j_connection(s)) == reference.abelian_j_gamma(c, j)
+        assert second_derivatives_commute(s) == reference.second_derivatives_commute(
+            reference.christoffel(c, g))
 
     def test_equality_across_entry_types(self):
         s = catalog.get("sl2c_killing").structure
-        ops = levi_civita(s).operators
-        scaled = [m.map(lambda x: x * 6) for m in ops]
-        assert all(x.denominator == 1 for m in scaled for row in m.rows for x in row)
-        ints = Connection(gamma_of([m.map(int) for m in scaled])).tensor
-        assert ints == gamma_of(scaled)
-        assert ints != levi_civita(s).tensor
-        assert Connection(ints / 6).tensor == gamma_of(ops) == levi_civita(s).tensor
+        gamma = lists(levi_civita(s).tensor)
+        scaled = [[[x * 6 for x in row] for row in plane] for plane in gamma]
+        assert all(x.denominator == 1 for plane in scaled for row in plane for x in row)
+        ints = Connection(tensor3([[list(map(int, row)) for row in plane] for plane in scaled]))
+        assert ints.tensor == tensor3(scaled)
+        assert ints.tensor != levi_civita(s).tensor
+        assert Connection(ints.tensor / 6).tensor == tensor3(gamma) == levi_civita(s).tensor
 
 
 class TestPredicates:
@@ -332,18 +246,21 @@ class TestPredicates:
 
     @staticmethod
     def assert_matches(s):
+        c, g, j = raw(s)
+        rc = reference.milnor_ricci(c, g)[0]
         einstein = is_einstein(s)
-        assert einstein == ref_is_einstein(s)
+        assert einstein == reference.is_einstein(rc, g)
         assert einstein[1] is None or type(einstein[1]) is Fraction
-        assert is_ricci_flat(s) == ricci(s)[0].is_zero()
-        assert killing_anti_invariant(s) == ref_killing_anti_invariant(s)
+        assert is_ricci_flat(s) == reference.is_zero(rc)
+        assert killing_anti_invariant(s) == reference.killing_anti_invariant(c, j)
         table = nijenhuis(s.algebra, s.J)
         assert table.is_zero() == all(not any(v) for row in table.fractions() for v in row)
+        want = reference.theta(c, g, j)
+        assert anti_kahler_via_theta(s) == (reference.is_skew(want)
+                                            and reference.is_pure(want, j))
         theta = theta_connection_form(s)
-        assert anti_kahler_via_theta(s) == (ref_theta_is_skew(theta)
-                                            and ref_theta_is_pure(theta, s.J))
-        assert theta_is_skew(theta) == ref_theta_is_skew(theta)
-        assert theta_is_pure(theta, s.J) == ref_theta_is_pure(theta, s.J)
+        assert theta_is_skew(theta) == reference.is_skew(lists(theta))
+        assert theta_is_pure(theta, s.J) == reference.is_pure(lists(theta), j)
 
     @given(st.integers(0, 10**6), st.sampled_from(("none", "12", "23", "all")))
     @settings(max_examples=80, deadline=None)
@@ -362,9 +279,9 @@ class TestPredicates:
             idx = (i, j, k)
             return sum(sign * t[idx[p[0]]][idx[p[1]]][idx[p[2]]] for p, sign in signs.items())
 
-        theta = tensor3([[[value(i, j, k) for k in range(n)] for j in range(n)]
-                         for i in range(n)])
-        assert theta_is_skew(theta) == ref_theta_is_skew(theta)
+        entries = [[[value(i, j, k) for k in range(n)] for j in range(n)] for i in range(n)]
+        theta = tensor3(entries)
+        assert theta_is_skew(theta) == reference.is_skew(entries)
         assert theta_is_skew(theta) == (symmetry == "all" or theta.is_zero())
 
 

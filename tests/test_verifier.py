@@ -29,7 +29,7 @@ from antikahler.verifier import (
     sample_rng,
     split_seed,
 )
-from test_j_contractions import fraction_views
+from corpora import fraction_views
 
 
 class TestDeterminism:
