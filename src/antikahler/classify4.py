@@ -102,14 +102,27 @@ def aff_c_real() -> LieAlgebra:
     })
 
 
-def make_family_case1(a, b, eps: int) -> AntiHermitianStructure:
-    """Family member mu_{a,b,eps} on the normalized basis; eps = +-1."""
+def _case1_family(a, b, eps) -> tuple:
+    """(a, b, eps) as Fractions, once checked: (a, b) != 0 and eps = +-1."""
     a, b = Fraction(a), Fraction(b)
     if a == 0 and b == 0:
         raise DegenerateParametersError("(a, b) must not both vanish")
     if eps not in (1, -1):
         raise ValueError("eps must be +1 or -1")
-    e = Fraction(eps)
+    return a, b, Fraction(eps)
+
+
+def _case2_family(t: Sequence) -> tuple:
+    """(t1, t2, t3, t4) as Fractions, once checked: not all zero."""
+    t = tuple(Fraction(x) for x in t)
+    if not any(t):
+        raise DegenerateParametersError("parameters must not all vanish")
+    return t
+
+
+def make_family_case1(a, b, eps: int) -> AntiHermitianStructure:
+    """Family member mu_{a,b,eps} on the normalized basis; eps = +-1."""
+    a, b, e = _case1_family(a, b, eps)
     alg = LieAlgebra.from_brackets(4, {
         (0, 1): {2: a, 3: b},            # [X, JX]  = a Y + b JY
         (0, 2): {1: a, 3: -e * b},       # [X, Y]   = a JX - eps b JY
@@ -123,10 +136,7 @@ def make_family_case1(a, b, eps: int) -> AntiHermitianStructure:
 
 def make_family_case2(t1, t2, t3, t4) -> AntiHermitianStructure:
     """Family member mu_{t1..t4} on the normalized basis; bi-invariant J."""
-    t = tuple(Fraction(x) for x in (t1, t2, t3, t4))
-    if not any(t):
-        raise DegenerateParametersError("parameters must not all vanish")
-    t1, t2, t3, t4 = t
+    t1, t2, t3, t4 = _case2_family((t1, t2, t3, t4))
     alg = LieAlgebra.from_brackets(4, {
         (0, 2): {0: t1, 1: t2, 2: t3, 3: t4},     # [X, Y]
         (0, 3): {0: -t2, 1: t1, 2: -t4, 3: t3},   # [X, JY]
@@ -221,10 +231,11 @@ def transform_structure(s: AntiHermitianStructure, p: Matrix) -> AntiHermitianSt
 def normalize_basis(s: AntiHermitianStructure) -> tuple[Matrix, AntiHermitianStructure]:
     """Find a rational orthonormal J-basis {X, JX, Y, JY}.
 
-    Complexified Gram-Schmidt needs square roots in Q(i); when a root does
-    not exist the attempt fails (such a basis always exists over the reals,
-    not necessarily over the rationals).  Returns (P, normalized structure)
-    with the columns of P holding the new basis in the old coordinates.
+    X and Y come from one complexified Gram-Schmidt step, taken twice; its
+    square root in Q(i) may not exist (such a basis always exists over the
+    reals, not necessarily over the rationals).  Returns (P, normalized
+    structure) with the columns of P holding the new basis in the old
+    coordinates.
     """
     if s.dim != 4:
         raise DimensionMismatchError("normalization implemented for dim 4")
@@ -232,40 +243,42 @@ def normalize_basis(s: AntiHermitianStructure) -> tuple[Matrix, AntiHermitianStr
         return Matrix.identity(4), s
 
     f1, f2 = _complex_basis(s.J)
-    f_sum = tuple(x + y for x, y in zip(f1, f2))
-
-    u1 = next((u for u in (f1, f2, f_sum) if not complex_form(s, u, u).is_zero()), None)
-    if u1 is None:
-        raise NormalizationFailedError("complexified form has no anisotropic basis vector")
-    sigma1 = gaussian_sqrt(complex_form(s, u1, u1))
-    if sigma1 is None:
-        raise NormalizationFailedError(
-            "no rational orthonormal J-basis: <u,u> is not a square in Q(i); "
-            "supply the structure in a normalized basis")
-    x_vec = _complex_scale(s.J, GaussianRational(Fraction(1)) / sigma1, u1)
-
-    u2 = None
-    for h in (f1, f2, f_sum):
-        proj = complex_form(s, h, x_vec)
-        cand = tuple(hv - xv for hv, xv in
-                     zip(h, _complex_scale(s.J, proj, x_vec)))
-        if any(cand) and not complex_form(s, cand, cand).is_zero():
-            u2 = cand
-            break
-    if u2 is None:
-        raise NormalizationFailedError("complex Gram-Schmidt found no second basis vector")
-    sigma2 = gaussian_sqrt(complex_form(s, u2, u2))
-    if sigma2 is None:
-        raise NormalizationFailedError(
-            "no rational orthonormal J-basis: <u,u> is not a square in Q(i); "
-            "supply the structure in a normalized basis")
-    y_vec = _complex_scale(s.J, GaussianRational(Fraction(1)) / sigma2, u2)
+    candidates = (f1, f2, tuple(x + y for x, y in zip(f1, f2)))
+    x_vec = _gram_schmidt_step(s, candidates, ())
+    y_vec = _gram_schmidt_step(s, candidates, (x_vec,))
 
     p = Matrix.from_cols([x_vec, s.J.apply(x_vec), y_vec, s.J.apply(y_vec)])
     normalized = transform_structure(s, p)
     if normalized.g != standard_metric(4) or normalized.J != standard_j(4):
         raise NormalizationFailedError("normalization produced a non-standard frame")
     return p, normalized
+
+
+def _gram_schmidt_step(s: AntiHermitianStructure, candidates: Sequence,
+                       found: Sequence) -> tuple:
+    """The first candidate u, minus its projections onto the orthonormal
+    vectors `found`, with <u, u> != 0, scaled by 1/sqrt(<u, u>).
+
+    One always exists: the form's real part is g, so it is nondegenerate.
+    With nothing found, 2<f1, f2> = <f1 + f2, f1 + f2> - <f1, f1> - <f2, f2>
+    makes one of f1, f2, f1 + f2 anisotropic; with x found, the projected
+    f1, f2 span the line orthogonal to x, where a nonzero isotropic vector
+    would lie in the radical.  So the one failure is the square root.
+    """
+    for h in candidates:
+        u = h
+        for x in found:
+            u = tuple(uv - xv for uv, xv in
+                      zip(u, _complex_scale(s.J, complex_form(s, h, x), x)))
+        norm = complex_form(s, u, u)
+        if not norm.is_zero():
+            break
+    sigma = gaussian_sqrt(norm)
+    if sigma is None:
+        raise NormalizationFailedError(
+            "no rational orthonormal J-basis: <u,u> is not a square in Q(i); "
+            "supply the structure in a normalized basis")
+    return _complex_scale(s.J, GaussianRational(Fraction(1)) / sigma, u)
 
 
 def verify_isomorphism(phi: Matrix, src: LieAlgebra, dst: LieAlgebra, *,
@@ -296,7 +309,7 @@ def verify_isomorphism(phi: Matrix, src: LieAlgebra, dst: LieAlgebra, *,
 def case1_isomorphism(a, b, eps: int) -> Matrix:
     """Lie-algebra isomorphism mu_{a,b,eps} -> r(-1,-1) (columns act on the
     normalized basis)."""
-    a, b, e = Fraction(a), Fraction(b), Fraction(eps)
+    a, b, e = _case1_family(a, b, eps)
     return Matrix([
         [-e * a, -e * b, b, -a],
         [e * b, -e * a, a, b],
@@ -307,7 +320,7 @@ def case1_isomorphism(a, b, eps: int) -> Matrix:
 
 def case1_isomorphism_inverse(a, b, eps: int) -> Matrix:
     """Stated closed-form inverse of case1_isomorphism, prefactor 1/(2(a^2+b^2))."""
-    a, b, e = Fraction(a), Fraction(b), Fraction(eps)
+    a, b, e = _case1_family(a, b, eps)
     n = a * a + b * b
     scale = Fraction(1) / (2 * n)
     return scale * Matrix([
@@ -320,7 +333,7 @@ def case1_isomorphism_inverse(a, b, eps: int) -> Matrix:
 
 def case2_isomorphism(t: Sequence) -> Matrix:
     """Lie-algebra isomorphism mu_t -> aff(C); inverse is transpose/sum(t_i^2)."""
-    t1, t2, t3, t4 = (Fraction(x) for x in t)
+    t1, t2, t3, t4 = _case2_family(t)
     return Matrix([
         [t3, -t4, -t1, t2],
         [t4, t3, -t2, -t1],
@@ -374,70 +387,35 @@ def classify(s: AntiHermitianStructure) -> ClassificationReport:
     p, normalized = normalize_basis(s)
     p_inv = p.inverse()
     coeffs = extract_coefficients(normalized)
-    a_matrix = coefficient_matrix(coeffs)
 
     flat = is_flat(s)
     einstein, lam = is_einstein(s)
     ricci_flat = is_ricci_flat(s)
 
-    if a_matrix.is_zero():
-        t = coeffs.t[:4]
-        if not any(t):
-            witness = Matrix.identity(4)
-            if not verify_isomorphism(witness, s.algebra, LieAlgebra.abelian(4)):
-                raise WitnessDerivationError("abelian witness failed verification")
-            return ClassificationReport(
-                VERDICT_ABELIAN, witness, None, flat, einstein, lam, ricci_flat, p)
-        witness = case2_isomorphism(t) * p_inv
-        if not verify_isomorphism(witness, s.algebra, aff_c_real()):
-            raise WitnessDerivationError("stated aff(C) witness failed verification")
-        return ClassificationReport(
-            VERDICT_AFF, witness, zeta_from_params(t), flat, einstein, lam,
-            ricci_flat, p, case2_params=t)
-
-    a, b, eps = _case1_parameters(coeffs)
-    witness = case1_isomorphism(a, b, eps) * p_inv
-    if not verify_isomorphism(witness, s.algebra, r_minus_one_minus_one()):
-        raise WitnessDerivationError("stated r(-1,-1) witness failed verification")
-    return ClassificationReport(
-        VERDICT_R, witness, None, flat, einstein, lam, ricci_flat, p,
-        case1_params=(a, b, eps))
+    case1 = case2 = None
+    if not coefficient_matrix(coeffs).is_zero():
+        case1 = _case1_parameters(coeffs)
+        verdict, target, zeta = VERDICT_R, r_minus_one_minus_one(), None
+        witness = case1_isomorphism(*case1) * p_inv
+    elif any(coeffs.t[:4]):
+        case2 = coeffs.t[:4]
+        verdict, target, zeta = VERDICT_AFF, aff_c_real(), zeta_from_params(case2)
+        witness = case2_isomorphism(case2) * p_inv
+    else:
+        verdict, target, zeta = VERDICT_ABELIAN, LieAlgebra.abelian(4), None
+        witness = Matrix.identity(4)
+    if not verify_isomorphism(witness, s.algebra, target):
+        raise WitnessDerivationError(f"stated {verdict} witness failed verification")
+    return ClassificationReport(verdict, witness, zeta, flat, einstein, lam, ricci_flat, p,
+                                case1_params=case1, case2_params=case2)
 
 
 def _case1_parameters(coeffs: NormalizedCoefficients) -> tuple:
-    """Derive (a, b, eps) with the kernel-vector parallelism argument.
-
-    The four coefficient vectors of the Jacobi relations all lie in the
-    one-dimensional kernel of A; the first nonzero one is the reference and
-    the remaining relations are asserted rather than assumed.
-    """
-    t1, t2, t3, t4, t5, t6, t7, t8 = coeffs.t
-    v1 = (-t1 - t8, t1 - t8, t3, t4)
-    v2 = (t2 - t7, t2 + t7, t5, t6)
-    v3 = (t6 - t3, t3 + t6, -t1, t2)
-    v4 = (t4 + t5, t4 - t5, t7, -t8)
-    vectors = (v1, v2, v3, v4)
-    reference = next((v for v in vectors if any(v)), None)
-    if reference is None:
-        raise NotAntiKahlerError("degenerate case-1 input: no kernel vector")
-
-    def parallel(u, v):
-        return all(u[p] * v[q] == u[q] * v[p]
-                   for p in range(4) for q in range(p + 1, 4))
-
-    if not all(parallel(reference, v) for v in vectors):
-        raise NotAntiKahlerError("kernel vectors of A are not parallel")
-    if not (t3 == 0 and t1 == 0 and t5 == 0 and t7 == 0):
-        raise NotAntiKahlerError("case-1 relations t1 = t3 = t5 = t7 = 0 fail")
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    if not (a == t2 and b == t8 and c == -t4 and d == -t6):
-        raise NotAntiKahlerError("case-1 coefficient identities fail")
-
-    # A != 0, so at most one eps satisfies both
-    candidates = [e for e in (1, -1) if c == e * b and d == -e * a]
-    if not candidates:
-        raise NotAntiKahlerError("no eps = +-1 satisfies c = eps b, d = -eps a")
-    return a, b, candidates[0]
+    """(a, b, eps), eps being the sign with (c, d) = eps (b, -a).  Nothing
+    is checked here: verify_isomorphism of the witness built from them
+    decides the case-1 relations exactly."""
+    a, b = coeffs.a, coeffs.b
+    return a, b, 1 if (coeffs.c, coeffs.d) == (b, -a) else -1
 
 
 @dataclass(frozen=True)
@@ -455,10 +433,7 @@ def equivalence_witness_case1(a, b, eps: int) -> EquivalenceWitness:
     s = a^2+b^2-1) is returned only after it is verified exactly; a failed
     verification raises WitnessDerivationError.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 and b == 0:
-        raise DegenerateParametersError("(a, b) must not both vanish")
-    e = Fraction(eps)
+    a, b, e = _case1_family(a, b, eps)
     n = a * a + b * b
     r = n + 1
     t = n - 1
@@ -513,23 +488,20 @@ def _phi_scaling(z: GaussianRational) -> Matrix:
     return _realify([[p, -q], [q, p]])
 
 
-def _zeta_zero_anchor_map(t: Sequence) -> Matrix:
-    """Realified isometry carrying mu_{(1,0,0,1)} to mu_t when zeta(t) = 0.
+def _zeta_zero_anchor_map(z1: GaussianRational, z2: GaussianRational) -> Matrix:
+    """Realified isometry carrying mu_{(1,0,0,1)} to mu_t, z1 = t1 + i t2 and
+    z2 = t3 + i t4, when zeta(t) = 0.
 
-    On the isotropic orbit (z1, z2) = z (1, i) or z (1, -i) with z = z1; the
-    first branch is the scaling by z, the second composes the swap of the
-    isotropic directions X +- iY, diag(1, -1) in the {X, Y} frame, with the
-    scaling by -1/z (the swap has determinant -1, which re-enters the family
-    action as a sign on the parameters).
+    t holds checked parameters, so z1^2 + z2^2 = 0 with (z1, z2) != 0 puts
+    it on the isotropic orbit (z1, z2) = z (1, i) or z (1, -i) with z = z1
+    != 0; the first branch is the scaling by z, the second composes the
+    swap of the isotropic directions X +- iY, diag(1, -1) in the {X, Y}
+    frame, with the scaling by -1/z (the swap has determinant -1, which
+    re-enters the family action as a sign on the parameters).
     """
-    t1, t2, t3, t4 = (Fraction(x) for x in t)
-    z1 = GaussianRational(t1, t2)
-    z2 = GaussianRational(t3, t4)
     if z2 == _I * z1:
         return _phi_scaling(z1)
-    if z2 == -_I * z1:
-        return _phi_scaling(-GaussianRational(Fraction(1)) / z1) * _realify([[1, 0], [0, -1]])
-    raise InequivalentParametersError("parameters do not lie on the zeta = 0 orbit")
+    return _phi_scaling(-GaussianRational(Fraction(1)) / z1) * _realify([[1, 0], [0, -1]])
 
 
 def case2_equivalence_witness(t: Sequence, t_other: Sequence) -> Matrix:
@@ -540,17 +512,16 @@ def case2_equivalence_witness(t: Sequence, t_other: Sequence) -> Matrix:
     through the anchor parameters (1, 0, 0, 1).  Both are built from
     realified Q(i) maps.
     """
-    if not equivalent_case2(t, t_other):
+    t_fr, t2_fr = _case2_family(t), _case2_family(t_other)
+    if not equivalent_case2(t_fr, t2_fr):
         raise InequivalentParametersError("zeta invariants differ")
-    zeta = zeta_from_params(t)
-    t_fr = tuple(Fraction(x) for x in t)
-    t2_fr = tuple(Fraction(x) for x in t_other)
+    zeta = zeta_from_params(t_fr)
     z1, z2 = GaussianRational(t_fr[0], t_fr[1]), GaussianRational(t_fr[2], t_fr[3])
     w1, w2 = GaussianRational(t2_fr[0], t2_fr[1]), GaussianRational(t2_fr[2], t2_fr[3])
     if not zeta.is_zero():
         witness = _realify([[w1, -w2], [w2, w1]]) * _realify([[z1, -z2], [z2, z1]]).inverse()
     else:
-        witness = _zeta_zero_anchor_map(t_other) * _zeta_zero_anchor_map(t).inverse()
+        witness = _zeta_zero_anchor_map(w1, w2) * _zeta_zero_anchor_map(z1, z2).inverse()
 
     src = make_family_case2(*t_fr)
     dst = make_family_case2(*t2_fr)

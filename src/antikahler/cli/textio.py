@@ -21,17 +21,18 @@ from ..geometry import (
     NotAntiIsometryError,
     SingularMetricError,
 )
-from ..liealg import AntisymmetryViolation, JacobiViolation, LieAlgebra
+from ..liealg import JacobiViolation, LieAlgebra
 from ..scalars import Matrix, format_rational, parse_rational
 
 
 class StructureSyntaxError(ValueError):
-    """Malformed input text; `code` and `line` feed the CLI error document."""
+    """Malformed input text; `code` and `line` feed the CLI error document.
+    Line 0 (a missing section) is no line, and the message names none."""
 
     code = "SyntaxError"
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
         self.reason = message
 
@@ -63,7 +64,6 @@ def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
     section = None
     section_lines = {}
     dim: Optional[int] = None
-    dim_line = 0
     brackets: dict = {}
     bracket_lines: dict = {}
     matrix_rows: dict = {"[metric]": [], "[complex_structure]": []}
@@ -85,9 +85,7 @@ def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
         if section is None:
             raise StructureSyntaxError(lineno, "content before any section header")
         if section == "[algebra]":
-            new_dim = _parse_algebra_line(line, lineno, brackets, bracket_lines, dim)
-            if new_dim is not None:
-                dim, dim_line = new_dim, lineno
+            dim = _parse_algebra_line(line, lineno, brackets, bracket_lines, dim)
         else:
             tokens = line.split()
             if len(tokens) < 2 or tokens[0] != "row" or tokens[1] != "=":
@@ -115,8 +113,6 @@ def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
     try:
         algebra = LieAlgebra.from_brackets(
             dim, {(i - 1, j - 1): vec for (i, j), vec in brackets.items()})
-    except AntisymmetryViolation as exc:  # guarded at line level already
-        raise StructureFileError("AntisymmetryViolation", dim_line, str(exc)) from None
     except JacobiViolation as exc:
         raise StructureFileError("JacobiViolation", section_lines["[algebra]"],
                                  str(exc)) from None
@@ -149,6 +145,7 @@ def parse_structure(text: str) -> Union[LieAlgebra, AntiHermitianStructure]:
 
 
 def _parse_algebra_line(line, lineno, brackets, bracket_lines, dim) -> Optional[int]:
+    """Read one [algebra] line; returns the dimension declared so far."""
     tokens = line.split()
     if tokens[0] == "dim":
         if len(tokens) != 3 or tokens[1] != "=":
@@ -200,7 +197,7 @@ def _parse_algebra_line(line, lineno, brackets, bracket_lines, dim) -> Optional[
         pos += 2
     brackets[(i, j)] = vec
     bracket_lines[(i, j)] = lineno
-    return None
+    return dim
 
 
 def _parse_basis_token(token: str, lineno: int) -> int:

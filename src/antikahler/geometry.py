@@ -295,10 +295,13 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
     """Lowered curvature is pure: moving J across any slot preserves it,
     R(Jx,y,z,w) = R(x,Jy,z,w) = R(x,y,Jz,w) = R(x,y,z,Jw) on the basis.
 
-    J is g-symmetric and g invertible, so on the operators this reads, for
-    i < j, R(e_i, e_j) J = J R(e_i, e_j) = sum_m J_mi R(e_m, e_j) =
-    sum_m J_mj R(e_i, e_m), the last being minus the third at (j, i).  The
-    first equation is tested block by block, so most failures exit early.
+    J is g-symmetric, so R(x,y,Jz,w) = R(x,y,z,Jw) says that each operator
+    R(e_i, e_j), i < j, commutes with J; only that is tested, block by block,
+    so most failures exit early.  For Levi-Civita curvature it implies the
+    rest: pair symmetry makes it R(Jx, y) = R(x, Jy), and then the first
+    Bianchi identity at (x, y, Jz) minus J times it at (x, y, z) leaves
+    T(y, z) x + T(z, x) y = 0 for T(x, y) = R(Jx, y) - J R(x, y), which with
+    its two cyclic shifts gives 2 T(x, y) z = 0.
 
     Pure R gives Rc(Jx, y) = tr(J A) = tr(A J) = Rc(x, Jy) with A: z ->
     R(z, x)y, so a Ricci tensor that fails this decides False before R is
@@ -309,15 +312,8 @@ def curvature_is_pure(s: AntiHermitianStructure) -> bool:
         if rc.pull(j, 0) != rc.pull(j, 1):
             return False
     r = curvature(s).tensor
-    pairs = [(a, b) for a in range(r.n) for b in range(a + 1, r.n)]
-    right = []
-    for a, b in pairs:
-        block = r[a, b]
-        right.append(block.pull(j, 0))
-        if right[-1] != block.push(j, 1):
-            return False
-    first = r.pull(j, 0)
-    return all(first[a, b] == rj and -first[b, a] == rj for (a, b), rj in zip(pairs, right))
+    return all(r[a, b].pull(j, 0) == r[a, b].push(j, 1)
+               for a in range(r.n) for b in range(a + 1, r.n))
 
 
 def curvature_j_anticommutes(s: AntiHermitianStructure) -> bool:

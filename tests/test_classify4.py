@@ -52,7 +52,7 @@ from antikahler.geometry import (
     ricci,
 )
 from antikahler.liealg import LieAlgebra, is_bi_invariant_j
-from antikahler.scalars import GaussianRational, Matrix
+from antikahler.scalars import DimensionMismatchError, GaussianRational, Matrix
 from antikahler.verifier import GeneratorConfig, random_structure
 
 CASE1_SAMPLES = [
@@ -100,12 +100,20 @@ class TestFamilies:
         assert alg.bracket_basis(2, 3) == (0, 0, 0, 0)    # [Y, JY] = 0
 
     def test_degenerate_parameters(self):
-        with pytest.raises(DegenerateParametersError):
-            make_family_case1(0, 0, 1)
-        with pytest.raises(DegenerateParametersError):
-            make_family_case2(0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            make_family_case1(1, 0, 2)
+        # every builder checks its parameters before any arithmetic, so none
+        # divides by zero or returns a singular matrix
+        for build, args in [
+                (make_family_case1, (0, 0, 1)), (make_family_case2, (0, 0, 0, 0)),
+                (case1_isomorphism, (0, 0, 1)), (case1_isomorphism_inverse, (0, 0, 1)),
+                (equivalence_witness_case1, (0, 0, -1)), (case2_isomorphism, ((0, 0, 0, 0),)),
+                (case2_equivalence_witness, ((1, 0, 0, 1), (0, 0, 0, 0))),
+                (case2_equivalence_witness, ((0, 0, 0, 0), (1, 0, 0, 1)))]:
+            with pytest.raises(DegenerateParametersError):
+                build(*args)
+        for build in (make_family_case1, case1_isomorphism, case1_isomorphism_inverse,
+                      equivalence_witness_case1):
+            with pytest.raises(ValueError, match="eps must be"):
+                build(1, 0, 2)
 
     @pytest.mark.parametrize("a,b,eps", CASE1_SAMPLES)
     def test_case1_properties(self, a, b, eps):
@@ -185,6 +193,11 @@ class TestClassify:
         with pytest.raises(NotAntiKahlerError):
             classify(s)
 
+    @pytest.mark.parametrize("step", [classify, normalize_basis])
+    def test_rejects_dimension_other_than_4(self, step):
+        with pytest.raises(DimensionMismatchError):
+            step(catalog.get("n7_J-1").structure)
+
     def test_discriminator_agreement(self):
         # derived-algebra dimension separates the three verdicts
         widths = {VERDICT_ABELIAN: 0, VERDICT_AFF: 2, VERDICT_R: 3}
@@ -226,8 +239,21 @@ class TestNormalization:
     def test_irrational_norm_fails(self):
         base = make_family_case2(1, 0, 0, 0)
         doubled = AntiHermitianStructure(base.algebra, 2 * base.g, base.J)
-        with pytest.raises(NormalizationFailedError):
+        with pytest.raises(NormalizationFailedError, match="not a square in Q"):
             normalize_basis(doubled)
+
+    def test_coefficients_need_the_standard_frame(self):
+        base = make_family_case2(1, 0, 0, 0)
+        scaled = AntiHermitianStructure(base.algebra, 4 * base.g, base.J)
+        with pytest.raises(NormalizationFailedError, match="not in normalized form"):
+            extract_coefficients(scaled)
+
+    def test_coefficients_need_the_theta_identities(self):
+        # [e1, e2] = e1 on the standard pair: [X, JX] has an X component
+        alg = LieAlgebra.from_brackets(4, {(0, 1): {0: 1}})
+        s = AntiHermitianStructure(alg, standard_metric(4), standard_j(4))
+        with pytest.raises(NotAntiKahlerError):
+            extract_coefficients(s)
 
 
 class TestIsomorphisms:
@@ -241,6 +267,21 @@ class TestIsomorphisms:
         assert not verify_isomorphism(Matrix.zeros(4, 4),
                                       r_minus_one_minus_one(),
                                       r_minus_one_minus_one())
+
+    def test_rejects_mismatched_dimensions(self):
+        with pytest.raises(DimensionMismatchError, match="dimensions differ"):
+            verify_isomorphism(Matrix.identity(4), LieAlgebra.abelian(3), aff_c_real())
+        with pytest.raises(DimensionMismatchError, match="wrong shape"):
+            verify_isomorphism(Matrix.identity(3), aff_c_real(), aff_c_real())
+
+    def test_rejects_a_map_that_moves_j(self):
+        # swapping X and Y keeps the (zero) brackets and g = diag(1, -1, 1, -1),
+        # but it fixes JX where J-linearity would send it to JY
+        s = catalog.get("abelian4").structure
+        phi = Matrix([[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]]).map(Fraction)
+        kept = dict(g_src=s.g, g_dst=s.g)
+        assert verify_isomorphism(phi, s.algebra, s.algebra, **kept)
+        assert not verify_isomorphism(phi, s.algebra, s.algebra, **kept, j_src=s.J, j_dst=s.J)
 
     @pytest.mark.parametrize("a,b,eps", CASE1_SAMPLES)
     def test_case1_printed_phi(self, a, b, eps):
@@ -296,6 +337,10 @@ class TestModuli:
     def test_orbit_invariant_from_structure(self):
         s = make_family_case2(1, 2, 3, 4)
         assert orbit_invariant(s) == zeta_from_params((1, 2, 3, 4))
+
+    def test_orbit_invariant_rejects_case1(self):
+        with pytest.raises(ValueError, match="not in the bi-invariant family"):
+            orbit_invariant(make_family_case1(1, 0, 1))
 
     def test_reflexive(self):
         assert equivalent_case2((1, 2, 3, 4), (1, 2, 3, 4))

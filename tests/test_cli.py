@@ -168,7 +168,11 @@ EXIT_2 = {
     "rows-before-dim": (["check"], "[algebra]\n[metric]\nrow = 1 0\n",
                         "line 3: dim must be declared before rows"),
     "row-length": (["check"], D2 + "[metric]\nrow = 1 0 0\n", "line 4: expected 2 entries, got 3"),
-    "no-algebra": (["check"], "# no sections\n", "line 0: missing [algebra] section"),
+    "no-algebra": (["check"], "# no sections\n", "missing [algebra] section"),
+    "no-metric": (["check"], D2 + "[complex_structure]\nrow = 0 -1\nrow = 1 0\n",
+                  "missing [metric] section"),
+    "no-complex-structure": (["check"], D2 + "[metric]\nrow = 1 0\nrow = 0 -1\n",
+                             "missing [complex_structure] section"),
     "no-dim": (["check"], "[algebra]\n", "line 1: missing 'dim = N' line"),
     "bracket-index": (["check"], D2 + "bracket e1 e3 = 1 e1\n",
                       "line 3: basis index out of range e1 e3"),

@@ -250,6 +250,7 @@ def test_machine_curvature_into_a_pipe_closed_early(tmp_path):
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env)
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=300) == 1
     assert b"Traceback" not in err and b"BrokenPipeError" not in err

@@ -13,6 +13,7 @@ import reference
 from corpora import (
     SPECIAL,
     constants,
+    direct_sum,
     fraction_views,
     j_candidates,
     lists,
@@ -174,6 +175,17 @@ class TestCurvatureContractions:
     def test_purity(self, s):
         g, j, r = numbers_and_curvature(s)
         assert curvature_is_pure(s) == reference.curvature_is_pure(r, g, j)
+
+    def test_impure_only_in_the_first_plane(self):
+        # [e1, e2] = e1 with g = diag(1, -1) is curved, and R(e1, e2) is the
+        # one block that does not commute with J; Ricci is J-symmetric in
+        # dim 2, so the block test alone decides, on its own and first in a sum
+        plane = AntiHermitianStructure(LieAlgebra.from_brackets(2, {(0, 1): {0: 1}}),
+                                       Matrix([[1, 0], [0, -1]]), Matrix([[0, -1], [1, 0]]))
+        for s in (plane, direct_sum(plane, catalog.get("abelian4").structure)):
+            g, j, r = numbers_and_curvature(s)
+            assert not reference.curvature_is_pure(r, g, j)
+            assert not curvature_is_pure(s)
 
     @given(structures())
     @settings(max_examples=40, deadline=None)

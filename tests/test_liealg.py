@@ -45,6 +45,12 @@ class TestConstruction:
         with pytest.raises(DimensionMismatchError):
             jacobi_residual(3, {(0, 1): {component: 1}})
 
+    @pytest.mark.parametrize("pair, value",
+                             [((0, 3), {0: 1}), ((-1, 1), {0: 1}), ((0, 1), (1, 0))])
+    def test_pair_out_of_range_or_vector_of_wrong_length(self, pair, value):
+        with pytest.raises(DimensionMismatchError):
+            LieAlgebra.from_brackets(3, {pair: value})
+
     def test_non_integer_indices(self):
         # integer-valued keys are normalized, so every kernel can index with them
         alg = LieAlgebra.from_brackets(3, {(True, 2): {0: 1}})

@@ -22,7 +22,7 @@ from antikahler import catalog
 from antikahler.cli.main import main
 from antikahler.cli.textio import format_structure
 from antikahler.geometry import ricci
-from antikahler.scalars import Matrix, Tensor, int_matmul
+from antikahler.scalars import DimensionMismatchError, Matrix, Tensor, int_matmul
 from antikahler.verifier import GeneratorConfig, random_structure
 
 BIG = 2 ** 80
@@ -195,6 +195,11 @@ class TestAgainstFractions:
         changed[-1] += 1
         assert Tensor(n, order, changed, ta.den) != t
         assert t != Tensor(n, order + 1, [0] * n ** (order + 1), 1)
+
+    @pytest.mark.parametrize("count, den", [(8, 1), (10, 1), (9, 0), (9, -2)])
+    def test_rejects_numerators_that_do_not_fit(self, count, den):
+        with pytest.raises(DimensionMismatchError, match="do not form an order-2 tensor"):
+            Tensor(3, 2, [0] * count, den)
 
     def test_all_zero_tensors(self):
         zeros = [Tensor(3, 2, [0] * 9, den) for den in (1, 7, BIG)]

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
 from antikahler import catalog
 from antikahler.classify4 import make_family_case1, make_family_case2, standard_j, standard_metric
 from antikahler.geometry import AntiHermitianStructure, is_anti_kahler
 from antikahler.liealg import LieAlgebra
-from antikahler.scalars import basis_vector
+from antikahler.scalars import Tensor, basis_vector
 from antikahler.theta import (
     anti_kahler_via_theta,
     theta_bracket_form,
@@ -38,6 +40,16 @@ class TestThetaForms:
         assert not bracket.is_zero()
         assert bracket == conn
         assert tensor_ratio(conn, bracket) == 1
+
+    def test_ratio_of_tensors_that_are_not_proportional(self):
+        bracket = theta_bracket_form(catalog.get("sl2c_killing").structure)
+        nums = list(bracket.nums)
+        first = next(p for p, x in enumerate(nums) if x)
+        nums[first] *= 2  # one entry doubled, the others kept
+        bent = Tensor(bracket.n, 3, nums, bracket.den)
+        assert tensor_ratio(bracket, bracket) == 1
+        with pytest.raises(ArithmeticError, match="not proportional"):
+            tensor_ratio(bent, bracket)
 
     def test_sl2c_multiple_of_bracket_pairing(self):
         # bi-invariant g and J: theta(x,y,z) = 3 <[Jx, y], z>
